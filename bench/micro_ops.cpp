@@ -2,22 +2,8 @@
 // building blocks — tracker fast paths, state-word encode/decode, profile
 // updates, lock-buffer flushes — complementing costs_table's transition-level
 // measurements with ns/op precision and automatic iteration control.
-//
-// With `--json <path>` the binary instead runs the barrier-elision A/B
-// scenario (DESIGN.md §15): a single-owner reentrant held-lock hot loop
-// timed with the ownership cache on vs off, reporting
-// `values.speedup_median` for tools/bench_gate to check against
-// bench/baselines/micro_ops.json (the ≥1.5x elision win is a gated
-// property of the build, not a hope).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
-
-#include "common/cycle_timer.hpp"
-#include "common/stats.hpp"
 #include "metadata/state_word.hpp"
 #include "tracking/hybrid_tracker.hpp"
 #include "tracking/ideal_tracker.hpp"
@@ -25,7 +11,6 @@
 #include "tracking/optimistic_tracker.hpp"
 #include "tracking/pessimistic_tracker.hpp"
 #include "tracking/tracked_var.hpp"
-#include "workload/harness.hpp"
 
 namespace ht {
 namespace {
@@ -111,14 +96,11 @@ void BM_HybridPessLockUnlockCycle(benchmark::State& state) {
 BENCHMARK(BM_HybridPessLockUnlockCycle);
 
 // Reentrant pessimistic accesses: lock once, then hammer (no atomics).
-// Elision is forced off so this keeps measuring the tracker's reentrant
-// slow path itself; BM_HybridElidedStore below measures the cache-hit path.
 void BM_HybridPessReentrantStore(benchmark::State& state) {
   Runtime rt;
   HybridTracker<> tracker(rt, HybridConfig{});
   ThreadContext& ctx = rt.register_thread();
   tracker.attach_thread(ctx);
-  ctx.elision_on.store(false, std::memory_order_relaxed);
   TrackedVar<std::uint64_t> var;
   var.init(tracker, ctx, 0);
   var.meta().reset(StateWord::wr_ex_pess(ctx.id));
@@ -130,25 +112,6 @@ void BM_HybridPessReentrantStore(benchmark::State& state) {
   tracker.flush(ctx);
 }
 BENCHMARK(BM_HybridPessReentrantStore);
-
-// Same loop with the ownership cache live: after the first (inserting)
-// store every iteration is one cache probe (DESIGN.md §15).
-void BM_HybridElidedStore(benchmark::State& state) {
-  Runtime rt;
-  HybridTracker<> tracker(rt, HybridConfig{});
-  ThreadContext& ctx = rt.register_thread();
-  tracker.attach_thread(ctx);
-  TrackedVar<std::uint64_t> var;
-  var.init(tracker, ctx, 0);
-  var.meta().reset(StateWord::wr_ex_pess(ctx.id));
-  var.store(tracker, ctx, 1);  // acquire the write lock once
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    var.store(tracker, ctx, ++i);
-  }
-  tracker.flush(ctx);
-}
-BENCHMARK(BM_HybridElidedStore);
 
 void BM_SafepointPollNoRequests(benchmark::State& state) {
   Runtime rt;
@@ -170,79 +133,7 @@ void BM_PsroEmptyBuffer(benchmark::State& state) {
 }
 BENCHMARK(BM_PsroEmptyBuffer);
 
-// --- barrier-elision A/B scenario (--json mode) ------------------------------
-
-// One timed pass of the single-owner reentrant held-lock hot loop: the
-// object sits in WrExWLock(self) for the whole loop, each store is a
-// reentrant no-transition access, and the thread polls every 64 stores
-// (no requests ever arrive, so the poll never flushes the cache). This is
-// the access shape barrier elision targets; `elision` toggles only the
-// per-thread kill switch, everything else is identical.
-double time_reentrant_hot_loop(bool elision, std::uint64_t iters) {
-  Runtime rt;
-  HybridTracker<> tracker(rt, HybridConfig{});
-  ThreadContext& ctx = rt.register_thread();
-  tracker.attach_thread(ctx);
-  if (!elision) ctx.elision_on.store(false, std::memory_order_relaxed);
-  TrackedVar<std::uint64_t> var;
-  var.init(tracker, ctx, 0);
-  var.meta().reset(StateWord::wr_ex_pess(ctx.id));
-  var.store(tracker, ctx, 1);  // acquire the write lock once
-  std::uint64_t v = 0;
-  WallTimer timer;
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    var.store(tracker, ctx, ++v);
-    if ((i & 63u) == 0) rt.poll(ctx);
-  }
-  const double secs = timer.elapsed_seconds();
-  benchmark::DoNotOptimize(var.raw_load());
-  tracker.flush(ctx);
-  return secs;
-}
-
-int run_elision_ab(const std::string& json_path) {
-  const int trials = trials_from_env(7);
-  const double scale = scale_from_env();
-  const auto iters =
-      static_cast<std::uint64_t>(2'000'000 * (scale > 0 ? scale : 1.0));
-
-  // Interleaved off/on trials so frequency drift hits both arms equally;
-  // one discarded warm-up pair covers governor ramp-up.
-  (void)time_reentrant_hot_loop(false, iters);
-  (void)time_reentrant_hot_loop(true, iters);
-  RunStats off, on;
-  for (int t = 0; t < trials; ++t) {
-    off.add(time_reentrant_hot_loop(false, iters));
-    on.add(time_reentrant_hot_loop(true, iters));
-  }
-  const double speedup = on.median() > 0 ? off.median() / on.median() : 0.0;
-
-  BenchJsonReport report("micro_ops");
-  report.set_meta("trials", json::Value(trials));
-  report.set_meta("iters", json::Value(iters));
-  report.add_value("elision_ab", "hybrid", "seconds_on", run_stats_json(on));
-  report.add_value("elision_ab", "hybrid", "seconds_off", run_stats_json(off));
-  report.add_value("elision_ab", "hybrid", "speedup_median",
-                   json::Value(speedup));
-  std::printf(
-      "elision_ab   hybrid   off %.4fs  on %.4fs  speedup_median %.2fx "
-      "(%d trials, %llu iters)\n",
-      off.median(), on.median(), speedup, trials,
-      static_cast<unsigned long long>(iters));
-  if (!report.write(json_path)) return 5;
-  std::printf("json report -> %s\n", json_path.c_str());
-  return 0;
-}
-
 }  // namespace
 }  // namespace ht
 
-int main(int argc, char** argv) {
-  const std::string json_path = ht::json_path_from_args(argc, argv);
-  if (!json_path.empty()) return ht::run_elision_ab(json_path);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

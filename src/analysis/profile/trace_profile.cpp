@@ -312,12 +312,6 @@ ProfileReport build_profile(const TraceSnapshot& snap) {
   };
   std::map<std::uint32_t, OpenState> open_state;
   for (const Event& e : merged) {
-    if (static_cast<EventKind>(e.kind) == EventKind::kElisionFlush) {
-      ++r.elision_flushes;
-      r.elision_hits += e.arg0;
-      r.elision_misses += e.arg1;
-      continue;
-    }
     if (static_cast<EventKind>(e.kind) != EventKind::kStateTransition) {
       continue;
     }
@@ -486,11 +480,7 @@ std::string profile_to_json(const ProfileReport& r, std::size_t max_objects) {
     }
     out.push_back('}');
   }
-  out += "]},\"elision\":{\"hits\":" + u64s(r.elision_hits);
-  out += ",\"misses\":" + u64s(r.elision_misses);
-  out += ",\"flushes\":" + u64s(r.elision_flushes);
-  out += ",\"hit_rate\":" + json::number(r.elision_hit_rate());
-  out += "},\"critical_path\":[";
+  out += "]},\"critical_path\":[";
   for (std::size_t i = 0; i < r.critical_path.size(); ++i) {
     const CriticalHop& h = r.critical_path[i];
     if (i != 0) out.push_back(',');
@@ -579,16 +569,6 @@ std::string attribution_report(const ProfileReport& r) {
                   residency_name(static_cast<Residency>(c)),
                   static_cast<unsigned long long>(r.dwell_cycles[c]),
                   100.0 * fraction(r.dwell_cycles[c], dwell_total));
-    out += buf;
-  }
-  if (r.elision_flushes > 0) {
-    std::snprintf(buf, sizeof buf,
-                  "elision: %llu hits / %llu misses (%.2f%% hit rate), "
-                  "%llu cache flushes\n",
-                  static_cast<unsigned long long>(r.elision_hits),
-                  static_cast<unsigned long long>(r.elision_misses),
-                  100.0 * r.elision_hit_rate(),
-                  static_cast<unsigned long long>(r.elision_flushes));
     out += buf;
   }
   std::snprintf(buf, sizeof buf, "critical path: %zu hops\n",

@@ -120,19 +120,6 @@ struct ProfileReport {
 
   std::vector<CriticalHop> critical_path;
 
-  // Barrier-elision totals (DESIGN.md §15), summed over the kElisionFlush
-  // events in the snapshot. Deltas are per-flush, so the sums are run totals
-  // for the traced window; all zero when elision is compiled out or off.
-  std::uint64_t elision_hits = 0;
-  std::uint64_t elision_misses = 0;
-  std::uint64_t elision_flushes = 0;
-  double elision_hit_rate() const {
-    const std::uint64_t probes = elision_hits + elision_misses;
-    return probes == 0
-               ? 0.0
-               : static_cast<double>(elision_hits) / static_cast<double>(probes);
-  }
-
   // |sum of category cycles - total_cycles| / total_cycles. Zero by
   // construction unless the sweep itself is broken — the CLI turns a value
   // above its tolerance into exit code 6 so CI can assert it cheaply.

@@ -81,7 +81,7 @@ class RsEnforcer {
       }
       ctx.in_region = true;
       ctx.undo_log = &log;
-      ctx.region_access_count = 0;
+      ctx.region_start_point = ctx.point_index;
       HT_TELEM_CYCLES(telem_attempt_t0);
       try {
         fn();
@@ -114,15 +114,19 @@ class RsEnforcer {
   // wait. We still own every object the region wrote — roll back now, then
   // let the response proceed; the slow path unwinds via RegionRestart.
   //
-  // Exception: a region that has not completed any tracked access holds no
+  // Exception: a region still inside its first tracked access holds no
   // region state, so responding (which only flushes locks deferred from
   // *committed* regions) cannot violate its serializability — it keeps
   // running. This removes the dominant cause of restart storms: every
-  // region's wait on its own FIRST access.
+  // region's wait on its own FIRST access. Forced responses come only from
+  // respond_while_waiting inside a tracked access, after its point bump, so
+  // the first access is point region_start_point + 1.
   void on_forced_response(ThreadContext& ctx) {
     HT_DASSERT(ctx.in_region && ctx.undo_log != nullptr,
                "forced response outside a region");
-    if (ctx.region_access_count == 0) {
+    HT_ASSERT(ctx.point_index > ctx.region_start_point,
+              "forced response outside a tracked access");
+    if (ctx.point_index == ctx.region_start_point + 1) {
       HT_DASSERT(ctx.undo_log->empty(), "writes before the first access?");
       return;
     }

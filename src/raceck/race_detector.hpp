@@ -85,10 +85,6 @@ class RaceDetector {
     t.clock.clear();
     t.clock.set(ctx.id, 1);  // epochs start at 1 so Epoch{} means "never"
     t.races = RaceReport{};
-    // Bypass matrix (DESIGN.md §15): race-checked runs observe every access
-    // through the detector hooks; keep the tracker's per-access
-    // instrumentation unelided so the two views can never diverge.
-    ctx.elision_on.store(false, std::memory_order_relaxed);
   }
 
   // --- synchronization hooks ----------------------------------------------------

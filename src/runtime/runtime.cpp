@@ -9,24 +9,6 @@
 
 namespace ht {
 
-namespace {
-
-// Stales the thread's elision cache at a revocation-capable participation
-// point and emits the kElisionFlush window event (hit/miss deltas since the
-// previous flush event). The snapshot updates are unconditional so deltas
-// stay correct across builds with telemetry compiled out.
-inline void elision_flush(ThreadContext& ctx) {
-  ctx.bump_elision_epoch();
-  HT_TELEM_EVENT(ctx, kElisionFlush,
-                 ctx.stats.elision_hits - ctx.elision_hits_at_flush,
-                 ctx.stats.elision_misses - ctx.elision_misses_at_flush,
-                 ctx.elision_epoch);
-  ctx.elision_hits_at_flush = ctx.stats.elision_hits;
-  ctx.elision_misses_at_flush = ctx.stats.elision_misses;
-}
-
-}  // namespace
-
 Runtime::Runtime(RuntimeConfig cfg)
     : cfg_(std::move(cfg)),
       registry_(cfg_.max_threads),
@@ -57,7 +39,6 @@ void Runtime::unregister_thread(ThreadContext& ctx) {
   } else {
     ctx.run_flush_hook();
   }
-  elision_flush(ctx);  // the exit flush is a revocation point (§15)
   ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ctx.run_region_log_hook();  // recorder: deterministic bump -> region mark
   registry_.mark_exited(ctx);
@@ -88,7 +69,6 @@ void Runtime::psro(ThreadContext& ctx) {
   ++ctx.stats.psros;
   renew_lease(ctx);
   ctx.run_flush_hook();
-  elision_flush(ctx);  // the PSRO flush releases held-lock entries (§15)
   ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ctx.run_region_log_hook();  // recorder: deterministic bump -> region mark
   // Pending requests are satisfied by the flush we just performed; the PSRO
@@ -119,9 +99,6 @@ void Runtime::respond(ThreadContext& ctx) {
   if (!scalar && !ctx.batch_requests_pending()) return;
   ctx.run_abort_hook();  // enforcer: roll back region writes while still owner
   ctx.run_flush_hook();  // hybrid: deferred unlocking's buffer flush
-  // Responding hands ownership away (optimistic revocation + the flush
-  // above); every cached elision entry is stale from here on (§15).
-  elision_flush(ctx);
   ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   if (scalar) {
     ctx.owner_side.response_watermark.store(req, std::memory_order_release);
@@ -189,8 +166,6 @@ void Runtime::begin_blocking(ThreadContext& ctx) {
   // a counter value covering all our prior accesses.
   renew_lease(ctx);
   ctx.run_flush_hook();
-  elision_flush(ctx);  // blocking enter flushes locks and invites implicit
-                       // coordination against us (§15)
   ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ++ctx.stats.responding_safepoints;
   // Stragglers that ticketed before this flush are satisfied by it; publish
@@ -245,9 +220,6 @@ void Runtime::end_blocking(ThreadContext& ctx) {
     }
   }
   renew_lease(ctx);
-  // While we were parked, requesters revoked our optimistic ownership via
-  // implicit coordination (epoch CASes) — the cache must restart cold (§15).
-  ctx.bump_elision_epoch();
   HT_TELEM_EVENT(ctx, kBlockingExit, ctx.release_counter_relaxed(), 0, 0);
   // Wake-up is a responding safe point for requests that arrived while we
   // were parked but whose senders did not use implicit coordination.
@@ -256,9 +228,6 @@ void Runtime::end_blocking(ThreadContext& ctx) {
 
 void Runtime::quarantined_self_park(ThreadContext& ctx) {
   ctx.quarantined_self = true;
-  // The quarantiner's kill-switch store already disabled probes; bump the
-  // epoch too so the unwind leaves no current-epoch entries behind.
-  ctx.bump_elision_epoch();
   // Owned per-object states were (or are being) seized via the Int
   // protocol; the buffered locks are no longer ours to unlock. Drop them.
   ctx.lock_buffer.clear();
@@ -286,15 +255,6 @@ bool Runtime::quarantine_thread(ThreadContext& self, ThreadId victim) {
     // renewed, so the quarantine is off. The caller rearms its stall clock.
     return false;
   }
-  // Elision kill switch (§15): quarantine is the ONE revocation that happens
-  // without the victim's participation, and the victim's elision epoch is
-  // its own non-atomic field we must not touch. Disable its cache wholesale
-  // BEFORE any of its state is seized (the watermark release below and the
-  // on_quarantine sweep), so a victim racing past its last safe point cannot
-  // elide an access to an object a survivor now owns. The status CAS above
-  // already sequences us after the victim's in-flight access: if the victim
-  // re-checks nothing else, its very next probe reads elision_on == false.
-  remote.elision_on.store(false, std::memory_order_release);
   quarantined_count_.fetch_add(1, std::memory_order_acq_rel);
   // Release every waiter with an issued ticket. The state handoff a flush
   // would have performed happens through seizure instead (the on_quarantine
@@ -354,10 +314,6 @@ std::optional<Runtime::CoordResult> Runtime::coordinate_impl(
   HT_ASSERT(owner != self.id, "self-coordination");
   ThreadContext& remote = registry_.context(owner);
   ++self.stats.coordination_rounds;
-  // Conservative epoch bump (§15): the wait loop below responds (flushing
-  // our own buffer) from inside respond_while_waiting, and landing the
-  // conflicting transition will rewrite ownership this cache may mirror.
-  self.bump_elision_epoch();
   HT_TELEM_CYCLES(telem_t0);
 
   // Fast path: implicit coordination with a blocked owner (§2.2). The CAS on
@@ -478,7 +434,6 @@ Runtime::CoordResult Runtime::coordinate_batch(ThreadContext& self,
 void Runtime::coordinate_batch_multi(ThreadContext& self, BatchGroup* groups,
                                      std::size_t n) {
   HT_ASSERT(n <= kMaxBatchGroups, "batch group overflow");
-  self.bump_elision_epoch();  // same conservative bump as coordinate_impl
   HT_TELEM_CYCLES(telem_t0);
 
   const auto finish = [&](BatchGroup& g) {

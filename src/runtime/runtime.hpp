@@ -127,11 +127,6 @@ struct ResilienceConfig {
 
 struct RuntimeConfig {
   std::size_t max_threads = 64;
-  // Barrier elision (DESIGN.md §15): seeds each context's elision_on flag at
-  // registration/reset. Forced off by -DHT_ELISION=OFF builds, under the
-  // HT_CHECK_TRANSITIONS shadow checker, and per-thread whenever a sink
-  // needs per-access visibility (race detector attach, recorder sinks).
-  bool elision = true;
   WatchdogConfig watchdog;
   ResilienceConfig resilience;
   // Optional fault injector (not owned; must outlive the Runtime). When

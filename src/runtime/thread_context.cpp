@@ -15,15 +15,6 @@ void ThreadContext::reset(ThreadId new_id, Runtime* rt) {
   fast_rd_ex_opt = StateWord::rd_ex_opt(new_id).raw();
   rd_sh_count = 0;
   point_index = 0;
-  // Epoch restarts at 1 so the cleared cache's zero tags can never hit; the
-  // kill switch honors both the compile-time gate and the runtime config.
-  elision_epoch = 1;
-  elision_cache.clear();
-  elision_hits_at_flush = 0;
-  elision_misses_at_flush = 0;
-  elision_on.store(HT_ELISION_RUNTIME != 0 && rt != nullptr &&
-                       rt->config().elision,
-                   std::memory_order_relaxed);
   lock_buffer.clear();
   rd_set.clear();
   stats = TransitionStats{};

@@ -22,7 +22,6 @@
 #include "common/mpsc_queue.hpp"
 #include "enforcer/region.hpp"
 #include "metadata/state_word.hpp"
-#include "tracking/elision_cache.hpp"
 #include "tracking/transition_stats.hpp"
 
 namespace ht {
@@ -124,24 +123,10 @@ class ThreadContext {
   // T.rdShCount < c).
   std::uint32_t rd_sh_count = 0;
 
-  // Barrier-elision kill switch (DESIGN.md §15). Owner-read (relaxed) on
-  // every cache probe; written by this thread at reset / race-detector
-  // attach, and cross-thread exactly once by Runtime::quarantine_thread —
-  // the victim cannot bump its own non-atomic epoch, so quarantine disables
-  // its cache wholesale before seizing any state. Quarantine is terminal,
-  // so the sticky false is permanent until the next reset.
-  std::atomic<bool> elision_on{false};
-
   // Deterministic instrumentation-point index (recorder §4.2): bumped at
   // every tracked access, workload poll site, and PSRO — never inside
   // nondeterministic spin loops.
   std::uint64_t point_index = 0;
-
-  // Barrier-elision epoch (DESIGN.md §15): bumped by this thread at every
-  // revocation-capable participation point (responding safe point, PSRO,
-  // blocking enter/exit, coordinate, quarantine unwind, exit flush), which
-  // stales the whole elision cache in O(1). Owner-only, hence non-atomic.
-  std::uint64_t elision_epoch = 1;
 
   // Liveness-lease heartbeat: bumped at every poll, PSRO, and blocking
   // boundary, mirrored into owner_side.heartbeat. Unlike last_poll (a mirror
@@ -156,18 +141,9 @@ class ThreadContext {
   // coordination needs no counter — its span identity is (owner, ticket).
   std::uint64_t coord_span_counter = 0;
 
-  // Elision cache payload: owner-only, probed on every tracked access. Own
-  // line(s) so probes never contend with the coordination words below.
-  alignas(kCacheLine) ElisionCache elision_cache;
-
-  // Snapshots of stats.elision_{hits,misses} taken when the last
-  // kElisionFlush event was emitted, so flush events carry per-window
-  // deltas rather than cumulative totals.
-  std::uint64_t elision_hits_at_flush = 0;
-  std::uint64_t elision_misses_at_flush = 0;
-
   // Deferred unlocking (§3.1): objects whose pessimistic states this thread
   // has locked, and the set of objects it holds read locks on (reentrancy).
+  // Owner-only, so they may share the rest of the hot line.
   std::vector<ObjectMeta*> lock_buffer;
   FlatPtrSet rd_set;
 
@@ -189,10 +165,12 @@ class ThreadContext {
   bool restart_requested = false;
   UndoLog region_log;
   UndoLog* undo_log = nullptr;  // &region_log inside a region, else null
-  // Tracked accesses completed by the current region. A region that has not
-  // acquired any object state yet can answer coordination requests without
-  // violating two-phase locking, so responding does not force a restart.
-  std::uint32_t region_access_count = 0;
+  // point_index when the current region attempt started. A forced response
+  // arrives from inside a tracked access, after that access's point bump, so
+  // point_index == region_start_point + 1 means the region is still in its
+  // first access: it holds no region state yet and may respond without a
+  // restart.
+  std::uint64_t region_start_point = 0;
 
   // --- responding-safe-point hooks --------------------------------------------
   void* flush_self = nullptr;
@@ -280,29 +258,6 @@ class ThreadContext {
     return owner_side.release_counter.load(std::memory_order_relaxed);
   }
 
-  // --- barrier elision (DESIGN.md §15) -----------------------------------------
-  // Probes are owner-only; the relaxed elision_on load doubles as the
-  // runtime on/off flag and the quarantine kill switch.
-  bool elide_store(const ObjectMeta* m) const {
-    return elision_on.load(std::memory_order_relaxed) &&
-           elision_cache.hit_store(m, elision_epoch);
-  }
-  bool elide_load(const ObjectMeta* m) const {
-    return elision_on.load(std::memory_order_relaxed) &&
-           elision_cache.hit_load(m, elision_epoch);
-  }
-  void elision_insert(const ObjectMeta* m, bool is_write) {
-    if (elision_on.load(std::memory_order_relaxed)) {
-      elision_cache.insert(m, elision_epoch, is_write);
-    }
-  }
-  // O(1) whole-cache invalidation; called by this thread at every
-  // revocation-capable participation point (see elision_cache.hpp).
-  void bump_elision_epoch() {
-    ++elision_epoch;
-    ++stats.elision_flushes;
-  }
-
   void run_flush_hook() {
     if (flush_fn != nullptr) flush_fn(flush_self, *this);
   }
@@ -337,8 +292,6 @@ static_assert(offsetof(ThreadContext, coord_span_counter) +
 // ...and nothing cross-thread-written shares a line with them: the stats
 // counters, the exit flag, and each coordination structure start fresh
 // lines of their own.
-static_assert(offsetof(ThreadContext, elision_cache) % kCacheLine == 0,
-              "elision cache must not share the coordination lines");
 static_assert(offsetof(ThreadContext, stats) % kCacheLine == 0,
               "per-thread stats must not share the hot or coordination lines");
 static_assert(offsetof(ThreadContext, exited) % kCacheLine == 0,
@@ -356,8 +309,8 @@ static_assert(offsetof(ThreadContext, requester_side) -
 // past the hot line and before the first cross-thread-written line.
 static_assert(offsetof(ThreadContext, in_region) >=
                       offsetof(ThreadContext, fast_wr_ex_opt) + kCacheLine &&
-                  offsetof(ThreadContext, region_access_count) +
-                          sizeof(std::uint32_t) <=
+                  offsetof(ThreadContext, region_start_point) +
+                          sizeof(std::uint64_t) <=
                       offsetof(ThreadContext, exited),
               "RS-enforcer group must stay off the hot and cross-thread lines");
 #pragma GCC diagnostic pop

@@ -449,7 +449,6 @@ RunResult run_core(detail::WorkerPool& pool, const Program& prog,
   // The virtual scheduler owns stall detection; the watchdog's wall-clock
   // heuristics are meaningless under virtual time.
   rtc.watchdog.enabled = false;
-  rtc.elision = rc.elision;
   rtc.resilience.on_quarantine = std::ref(sweep);
   if (rc.faults != nullptr) rtc.fault_injector = &injector;
   Runtime rt(rtc);

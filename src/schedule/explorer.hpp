@@ -72,10 +72,6 @@ struct RunConfig {
   int deadlock_rounds = 8;
   const FaultConfig* faults = nullptr;  // optional injected faults
   bool race_detect = false;
-  // Barrier elision (DESIGN.md §15). On by default so exhaustive exploration
-  // exercises the elision probe; soundness suites run every program both ways
-  // and assert identical outcome sets.
-  bool elision = true;
   std::function<void(const StateChange&)> on_state_change;
   std::function<void(const OpStep&)> on_op;
 };

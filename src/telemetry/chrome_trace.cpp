@@ -32,7 +32,6 @@ const char* event_category(EventKind k) {
     case EventKind::kPolicyOptToPess:
     case EventKind::kPolicyPessToOpt:
     case EventKind::kStateTransition:
-    case EventKind::kElisionFlush:
       return "tracker";
     case EventKind::kRegionRestart:
       return "enforcer";
@@ -119,11 +118,6 @@ void append_args(std::string& out, const Event& e) {
       out += "\"span\":" + json::number(static_cast<double>(e.arg0));
       out += ",\"requester_tid\":" + json::number(e.arg1);
       out += ",\"objects\":" + json::number(e.arg2);
-      break;
-    case EventKind::kElisionFlush:
-      out += "\"hits\":" + json::number(static_cast<double>(e.arg0));
-      out += ",\"misses\":" + json::number(e.arg1);
-      out += ",\"epoch\":" + json::number(e.arg2);
       break;
     case EventKind::kStateTransition:
       out += "\"from\":\"";
@@ -336,34 +330,6 @@ std::string hot_object_report(const TraceSnapshot& snap, std::size_t top_n) {
     out += buf;
   }
   if (ranked.empty()) out += "(no conflicting-transition events in trace)\n";
-
-  // Barrier-elision summary (DESIGN.md §15): kElisionFlush events carry the
-  // hit/miss deltas accumulated since the thread's previous flush, so the
-  // sums over the trace are the run totals for the traced window.
-  std::uint64_t elision_hits = 0;
-  std::uint64_t elision_misses = 0;
-  std::uint64_t elision_flushes = 0;
-  for (const ThreadTrace& t : snap.threads) {
-    for (const Event& e : t.events) {
-      if (static_cast<EventKind>(e.kind) != EventKind::kElisionFlush) continue;
-      ++elision_flushes;
-      elision_hits += e.arg0;
-      elision_misses += e.arg1;
-    }
-  }
-  if (elision_flushes > 0) {
-    const std::uint64_t probes = elision_hits + elision_misses;
-    std::snprintf(buf, sizeof buf,
-                  "elision: %llu hits / %llu misses (%.1f%% hit rate) "
-                  "across %llu cache flushes\n",
-                  static_cast<unsigned long long>(elision_hits),
-                  static_cast<unsigned long long>(elision_misses),
-                  probes == 0 ? 0.0
-                              : 100.0 * static_cast<double>(elision_hits) /
-                                    static_cast<double>(probes),
-                  static_cast<unsigned long long>(elision_flushes));
-    out += buf;
-  }
   return out;
 }
 

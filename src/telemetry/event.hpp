@@ -76,12 +76,9 @@ enum class EventKind : std::uint16_t {
   kStateTransition,  // arg0 = pack_transition(from kind, to kind),
                      // arg1 = object id
 
-  // Barrier elision (DESIGN.md §15): one event per epoch bump at a
-  // revocation-capable safe point, carrying the hit/miss deltas accumulated
-  // since the previous flush event on this thread. Deltas are zero on
-  // kStats=false tracker configurations (the probe only counts under kStats).
-  kElisionFlush,  // arg0 = elision hits since last flush, arg1 = misses
-                  // since last flush (low 32 bits), arg2 = new epoch (low 32)
+  // Kind 24 was kElisionFlush (barrier elision, removed: DESIGN.md §15).
+  // Rev-2 traces written before the removal may still carry it; every
+  // consumer treats it like any other unknown kind.
 };
 
 // arg2 flag bits for kOptConflict / kPessAcquire.
@@ -128,7 +125,6 @@ inline const char* event_kind_name(EventKind k) {
     case EventKind::kCoordRequest: return "coord_request";
     case EventKind::kCoordBatchDrain: return "coord_batch_drain";
     case EventKind::kStateTransition: return "state_transition";
-    case EventKind::kElisionFlush: return "elision_flush";
   }
   return "unknown";
 }

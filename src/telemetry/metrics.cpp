@@ -201,12 +201,6 @@ MetricsRegistry aggregate_metrics(const TraceSnapshot& snap) {
                                    "batched mailbox nodes drained");
   auto& transitions = reg.counter("ht_state_transitions_total",
                                   "state-kind changes (dwell edges)");
-  auto& elision_hits = reg.counter("ht_elision_hits_total",
-                                   "accesses elided by the ownership cache");
-  auto& elision_misses = reg.counter(
-      "ht_elision_misses_total", "elision probes that fell through to the tracker");
-  auto& elision_flushes = reg.counter(
-      "ht_elision_flushes_total", "elision epoch bumps at revocation-capable safe points");
   auto& coord_hist = reg.histogram("ht_coord_roundtrip_cycles",
                                    "coordination round-trip latency (cycles)");
   auto& batch_hist = reg.histogram("ht_coord_batch_objects",
@@ -288,11 +282,6 @@ MetricsRegistry aggregate_metrics(const TraceSnapshot& snap) {
           break;
         case EventKind::kStateTransition:
           ++transitions;
-          break;
-        case EventKind::kElisionFlush:
-          ++elision_flushes;
-          elision_hits += e.arg0;
-          elision_misses += e.arg1;
           break;
         default:
           break;

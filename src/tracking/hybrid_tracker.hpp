@@ -42,14 +42,6 @@ class HybridTracker {
  public:
   static constexpr const char* kName = "hybrid";
   using Token = EmptyToken;
-  // Barrier elision (DESIGN.md §15): same-state optimistic confirmations and
-  // reentrant *held-lock* hits may be cached — both are revocable only at
-  // this thread's safe points (or by quarantine, which trips the victim's
-  // elision_on kill switch). Unlocked pessimistic states are never inserted:
-  // any thread may CAS them to a locked state with no owner safe point.
-  // Disabled structurally when a dependence sink needs per-access events.
-  static constexpr bool kElidable = !Sink::kActive;
-  static constexpr bool kStatsOn = kStats;
 
   explicit HybridTracker(Runtime& rt, HybridConfig cfg = {},
                          Sink* sink = nullptr)
@@ -78,7 +70,6 @@ class HybridTracker {
     const StateWord s = m.load_state();
     if (s.raw() == ctx.fast_wr_ex_opt) {  // Fig 10a
       if constexpr (kStats) ++ctx.stats.opt_same;
-      if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
       HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                            .actor = ctx.id,
                            .object = &m,
@@ -118,7 +109,6 @@ class HybridTracker {
       const StateWord s = m.load_state();
       if (s.raw() == ctx.fast_wr_ex_opt) {
         if constexpr (kStats) ++ctx.stats.opt_same;
-        if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
         HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                              .actor = ctx.id,
                              .object = &m,
@@ -164,8 +154,6 @@ class HybridTracker {
     if (s.raw() == ctx.fast_wr_ex_opt || s.raw() == ctx.fast_rd_ex_opt ||
         (s.kind() == StateKind::kRdShOpt && ctx.rd_sh_count >= s.counter())) {
       if constexpr (kStats) ++ctx.stats.opt_same;
-      if constexpr (kElidable)
-        ctx.elision_insert(&m, /*is_write=*/s.raw() == ctx.fast_wr_ex_opt);
       HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                            .actor = ctx.id,
                            .object = &m,
@@ -184,13 +172,6 @@ class HybridTracker {
   // Deferred unlocking's buffer flush (Fig 10c); public so tests can force
   // flushes, normally reached via the thread hooks.
   void flush(ThreadContext& ctx) {
-    // The flush is the revocation event for held-lock elision entries (the
-    // unlocked states it leaves behind are CAS-lockable by anyone), so the
-    // epoch advances here — not only at the runtime safe points that
-    // normally invoke this hook — keeping direct flush() calls (tests,
-    // future call sites) sound. Bare increment: the elision_flushes stat
-    // counts safe-point flushes, which the runtime sites account for.
-    ++ctx.elision_epoch;
     HT_TELEM_CYCLES(telem_t0);
     for (ObjectMeta* m : ctx.lock_buffer) unlock_one(ctx, *m);
     // Emitted after the unlock loop so arg1 can carry the cycles the flush
@@ -386,7 +367,6 @@ class HybridTracker {
         case StateKind::kWrExOpt:
           if (s.tid() == ctx.id) {
             if constexpr (kStats) ++ctx.stats.opt_same;
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,
                                  .object = &m,
@@ -487,9 +467,6 @@ class HybridTracker {
         // ---- pessimistic locked ---------------------------------------------
         case StateKind::kWrExWLock:
           if (s.tid() == ctx.id) {  // reentrant (Table 3 row 1)
-            // A held write lock is only released by this thread's own flush
-            // (epoch bump) or seized from a quarantined self (kill switch).
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,
@@ -624,7 +601,6 @@ class HybridTracker {
         case StateKind::kWrExOpt:
           if (s.tid() == ctx.id) {
             if constexpr (kStats) ++ctx.stats.opt_same;
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,
                                  .object = &m,
@@ -640,7 +616,6 @@ class HybridTracker {
         case StateKind::kRdExOpt: {
           if (s.tid() == ctx.id) {
             if constexpr (kStats) ++ctx.stats.opt_same;
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/false);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,
                                  .object = &m,
@@ -675,7 +650,6 @@ class HybridTracker {
         case StateKind::kRdShOpt:
           if (ctx.rd_sh_count >= s.counter()) {
             if constexpr (kStats) ++ctx.stats.opt_same;
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/false);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,
                                  .object = &m,
@@ -861,7 +835,6 @@ class HybridTracker {
         // ---- pessimistic locked ----------------------------------------------
         case StateKind::kWrExWLock:
           if (s.tid() == ctx.id) {  // reentrant
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,
@@ -886,10 +859,6 @@ class HybridTracker {
           break;
         case StateKind::kWrExRLock:
           if (s.tid() == ctx.id) {  // reentrant (own read lock)
-            // Read-kind entry only: a second reader may still join this
-            // share without our safe point, but we stay in rd_set, so our
-            // elided reads remain reentrant no-ops under the joined state.
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/false);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,
@@ -913,7 +882,6 @@ class HybridTracker {
           break;
         case StateKind::kRdExRLock:
           if (s.tid() == ctx.id) {  // reentrant
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/false);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,
@@ -934,7 +902,6 @@ class HybridTracker {
           break;
         case StateKind::kRdShRLock: {
           if (ctx.rd_set.contains(&m)) {  // reentrant
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/false);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
                                  .actor = ctx.id,

@@ -20,9 +20,6 @@ class IdealTracker {
  public:
   static constexpr const char* kName = "ideal";
   using Token = EmptyToken;
-  // Elidable like the optimistic tracker: optimistic-only states, no sink.
-  static constexpr bool kElidable = true;
-  static constexpr bool kStatsOn = kStats;
 
   explicit IdealTracker(Runtime& rt) : runtime_(&rt) {}
 

@@ -25,12 +25,6 @@ class OptimisticTracker {
  public:
   static constexpr const char* kName = "optimistic";
   using Token = EmptyToken;
-  // Barrier elision (DESIGN.md §15): every state this tracker can confirm on
-  // its fast path (WrExOpt/RdExOpt self, fresh RdSh) is revocable only
-  // through this thread's safe points, so same-state accesses may be elided —
-  // unless a dependence sink is attached, which must see every access.
-  static constexpr bool kElidable = !Sink::kActive;
-  static constexpr bool kStatsOn = kStats;
 
   explicit OptimisticTracker(Runtime& rt, Sink* sink = nullptr)
       : runtime_(&rt), sink_(sink) {}
@@ -51,7 +45,6 @@ class OptimisticTracker {
     const StateWord s = m.load_state();
     if (s.raw() == ctx.fast_wr_ex_opt) {
       if constexpr (kStats) ++ctx.stats.opt_same;
-      if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
       HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kOptimistic,
                            .actor = ctx.id,
                            .object = &m,
@@ -86,7 +79,6 @@ class OptimisticTracker {
       const StateWord s = m.load_state();
       if (s.raw() == ctx.fast_wr_ex_opt) {
         if constexpr (kStats) ++ctx.stats.opt_same;
-        if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
         HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kOptimistic,
                              .actor = ctx.id,
                              .object = &m,
@@ -127,8 +119,6 @@ class OptimisticTracker {
     if (s.raw() == ctx.fast_wr_ex_opt || s.raw() == ctx.fast_rd_ex_opt ||
         (s.kind() == StateKind::kRdShOpt && ctx.rd_sh_count >= s.counter())) {
       if constexpr (kStats) ++ctx.stats.opt_same;
-      if constexpr (kElidable)
-        ctx.elision_insert(&m, /*is_write=*/s.raw() == ctx.fast_wr_ex_opt);
       HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kOptimistic,
                            .actor = ctx.id,
                            .object = &m,
@@ -162,7 +152,6 @@ class OptimisticTracker {
         // Another iteration (or a racing thread handing the state back)
         // already produced the state we need.
         if constexpr (kStats) ++ctx.stats.opt_same;
-        if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/true);
         HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kOptimistic,
                              .actor = ctx.id,
                              .object = &m,
@@ -222,8 +211,6 @@ class OptimisticTracker {
       StateWord s = m.load_state();
       if (s.raw() == ctx.fast_wr_ex_opt || s.raw() == ctx.fast_rd_ex_opt) {
         if constexpr (kStats) ++ctx.stats.opt_same;
-        if constexpr (kElidable)
-          ctx.elision_insert(&m, /*is_write=*/s.raw() == ctx.fast_wr_ex_opt);
         HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kOptimistic,
                              .actor = ctx.id,
                              .object = &m,
@@ -237,7 +224,6 @@ class OptimisticTracker {
         case StateKind::kRdShOpt: {
           if (ctx.rd_sh_count >= s.counter()) {
             if constexpr (kStats) ++ctx.stats.opt_same;
-            if constexpr (kElidable) ctx.elision_insert(&m, /*is_write=*/false);
             HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kOptimistic,
                                  .actor = ctx.id,
                                  .object = &m,

@@ -18,11 +18,6 @@ template <bool kStats = false, typename Sink = NullSink>
 class PessimisticTracker {
  public:
   static constexpr const char* kName = "pessimistic";
-  // Never elidable: every access CAS-locks the state word, and any thread may
-  // take an unlocked pessimistic state at any time without this thread
-  // reaching a safe point — no access is ever a redundant no-op.
-  static constexpr bool kElidable = false;
-  static constexpr bool kStatsOn = kStats;
 
   // The critical section spans the program access: pre_* locks the state and
   // computes the successor state; post_* publishes it (the §2.1 pseudocode's

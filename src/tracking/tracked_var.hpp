@@ -39,26 +39,6 @@ class TrackedVar {
   template <typename Tracker>
   T load(Tracker& tracker, ThreadContext& ctx) {
     ++ctx.point_index;
-    // Barrier elision (DESIGN.md §15): a current-epoch cache hit proves the
-    // tracker would take its same-state / reentrant no-op path, so the
-    // instrumentation call is skipped entirely. The point-index bump above
-    // is NOT skipped — elision must not perturb the recorder's deterministic
-    // point numbering.
-#if HT_ELISION_RUNTIME
-    if constexpr (tracker_elidable_v<Tracker>) {
-      if (ctx.elision_on.load(std::memory_order_relaxed)) {
-        if (ctx.elision_cache.hit_load(&meta_, ctx.elision_epoch)) {
-          if constexpr (tracker_counts_stats_v<Tracker>) {
-            ++ctx.stats.elision_hits;
-          }
-          return value_.load(std::memory_order_relaxed);
-        }
-        if constexpr (tracker_counts_stats_v<Tracker>) {
-          ++ctx.stats.elision_misses;
-        }
-      }
-    }
-#endif
     auto tok = tracker.pre_load(ctx, meta_);
     const T v = value_.load(std::memory_order_relaxed);
     tracker.post_load(ctx, meta_, tok);
@@ -68,30 +48,6 @@ class TrackedVar {
   template <typename Tracker>
   void store(Tracker& tracker, ThreadContext& ctx, T v) {
     ++ctx.point_index;
-    // Elided stores still run the undo-log push: the write-kind cache hit
-    // proves write ownership was secured earlier this epoch, so the old-value
-    // read cannot race, and region rollback must cover every store.
-#if HT_ELISION_RUNTIME
-    if constexpr (tracker_elidable_v<Tracker>) {
-      if (ctx.elision_on.load(std::memory_order_relaxed)) {
-        if (ctx.elision_cache.hit_store(&meta_, ctx.elision_epoch)) {
-          if constexpr (tracker_counts_stats_v<Tracker>) {
-            ++ctx.stats.elision_hits;
-          }
-          if (ctx.undo_log != nullptr) {
-            ctx.undo_log->push(
-                &value_, bits_of(value_.load(std::memory_order_relaxed)),
-                &restore_bits);
-          }
-          value_.store(v, std::memory_order_relaxed);
-          return;
-        }
-        if constexpr (tracker_counts_stats_v<Tracker>) {
-          ++ctx.stats.elision_misses;
-        }
-      }
-    }
-#endif
     auto tok = tracker.pre_store(ctx, meta_);
     if (ctx.undo_log != nullptr) {
       // Inside an SBRS region: log the old value for rollback. The tracker

@@ -31,9 +31,6 @@ constexpr Field kFields[] = {
     {"responding_safepoints", &TransitionStats::responding_safepoints},
     {"psros", &TransitionStats::psros},
     {"region_restarts", &TransitionStats::region_restarts},
-    {"elision_hits", &TransitionStats::elision_hits},
-    {"elision_misses", &TransitionStats::elision_misses},
-    {"elision_flushes", &TransitionStats::elision_flushes},
     {"coord_batch_rounds", &TransitionStats::coord_batch_rounds},
     {"coord_batch_objects", &TransitionStats::coord_batch_objects},
 };
@@ -57,9 +54,6 @@ TransitionStats& TransitionStats::operator+=(const TransitionStats& o) {
   responding_safepoints += o.responding_safepoints;
   psros += o.psros;
   region_restarts += o.region_restarts;
-  elision_hits += o.elision_hits;
-  elision_misses += o.elision_misses;
-  elision_flushes += o.elision_flushes;
   coord_batch_rounds += o.coord_batch_rounds;
   coord_batch_objects += o.coord_batch_objects;
   return *this;

@@ -41,11 +41,8 @@ struct TransitionStats {
   std::uint64_t psros = 0;
   std::uint64_t region_restarts = 0;
 
-  // --- barrier elision (DESIGN.md §15) --------------------------------------
-  // Hits/misses are counted by the TrackedVar probe only when the tracker's
-  // kStats flag is on (same discipline as every tracker counter); flushes
-  // (epoch bumps at revocation-capable safe points) are substrate events and
-  // count unconditionally, like responding_safepoints.
+  // Always zero: barrier elision was removed (DESIGN.md §15). Kept until the
+  // benchmark harness, which still reads them, stops doing so.
   std::uint64_t elision_hits = 0;
   std::uint64_t elision_misses = 0;
   std::uint64_t elision_flushes = 0;
@@ -67,18 +64,9 @@ struct TransitionStats {
     return pess_uncontended + pess_contended;
   }
   std::uint64_t accesses() const {
-    // Elided accesses bypass the tracker entirely, so no tracker counter
-    // sees them; the cache hit count stands in, keeping the conservation
-    // property (every program access counted exactly once).
-    return opt_total() + pess_total() + pess_alone_same + pess_alone_cross +
-           elision_hits;
+    return opt_total() + pess_total() + pess_alone_same + pess_alone_cross;
   }
-  double elision_hit_rate() const {
-    const std::uint64_t probes = elision_hits + elision_misses;
-    return probes == 0 ? 0.0
-                       : static_cast<double>(elision_hits) /
-                             static_cast<double>(probes);
-  }
+  double elision_hit_rate() const { return 0.0; }  // always zero, as above
   double reentrant_fraction() const {
     return pess_uncontended == 0
                ? 0.0

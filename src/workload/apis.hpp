@@ -101,18 +101,14 @@ class EnforcerApi {
   }
 
   std::uint64_t load(TrackedVar<std::uint64_t>& v) {
-    const std::uint64_t x = v.load(enforcer_->tracker(), *ctx_);
-    ++ctx_->region_access_count;  // after: the access has acquired its state
-    return x;
+    return v.load(enforcer_->tracker(), *ctx_);
   }
   void store(TrackedVar<std::uint64_t>& v, std::uint64_t x) {
     v.store(enforcer_->tracker(), *ctx_, x);
-    ++ctx_->region_access_count;
   }
   void store_batch(TrackedVar<std::uint64_t>* const* vars,
                    const std::uint64_t* values, std::size_t n) {
     ht::store_batch(enforcer_->tracker(), *ctx_, vars, values, n);
-    ctx_->region_access_count += n;
   }
   void lock(ProgramLock& l) { l.acquire(*ctx_); }
   void unlock(ProgramLock& l) { l.release(*ctx_); }

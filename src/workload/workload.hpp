@@ -368,9 +368,9 @@ struct WorkloadRunResult {
   double join_skew_seconds = 0;
   TransitionStats stats;
   // The unmerged per-thread counters behind `stats` (index = ThreadId).
-  // Bench --json reports export the per-thread fast-path hit counts and
-  // elision hit rates from here; skew across threads is itself a signal
-  // (one thread missing its ownership cache means its objects are churning).
+  // Bench --json reports export the per-thread fast-path hit counts from
+  // here; skew across threads is itself a signal (a thread with few fast-path
+  // hits has objects that keep changing owners).
   std::vector<TransitionStats> per_thread_stats;
   std::vector<std::uint64_t> checksums;
   // Threads that ended by ThreadQuarantined instead of completing their body

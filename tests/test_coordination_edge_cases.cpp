@@ -48,6 +48,7 @@ TEST(Coordination, RequestFloodDoesNotWedgeOwner) {
   Runtime rt;
   ThreadContext& owner = rt.register_thread();
   std::atomic<bool> stop{false};
+  std::atomic<bool> flooder_done{false};
   std::atomic<std::uint64_t> rounds{0};
   std::thread flooder([&] {
     ThreadContext& me = rt.register_thread();
@@ -55,17 +56,20 @@ TEST(Coordination, RequestFloodDoesNotWedgeOwner) {
       (void)rt.coordinate(me, owner.id);
       rounds.fetch_add(1);
     }
+    flooder_done.store(true);
   });
-  for (int i = 0; i < 20000; ++i) {
+  // Keep polling past the budget until the flooder (which may start late)
+  // has been answered at least once.
+  for (int i = 0; i < 20000 || rounds.load() == 0; ++i) {
     rt.poll(owner);
     if (i % 64 == 0) std::this_thread::yield();
   }
   stop.store(true);
-  // The flooder may be mid-wait; answer it until it exits.
-  while (rounds.load() == 0 || !stop.load()) {
+  // The flooder may be mid-wait, or may post one more request after reading
+  // stop just before it was set; answer it until it exits.
+  while (!flooder_done.load()) {
     rt.poll(owner);
     std::this_thread::yield();
-    if (stop.load() && rounds.load() > 0) break;
   }
   flooder.join();
   EXPECT_GT(rounds.load(), 0u);

@@ -282,6 +282,48 @@ TEST(RsEnforcer, ResetEmptiesALogAbandonedMidRegion) {
   EXPECT_EQ(ctx.undo_log, nullptr);
 }
 
+// The first-access rule is decided by instrumentation points, so it holds for
+// regions that touch TrackedVars directly, not only through EnforcerApi. A
+// forced response delivered while the region is inside its second access
+// must roll the first access's store back and request a restart.
+TEST(RsEnforcer, ForcedResponseAfterFirstAccessRollsBack) {
+  Runtime rt;
+  HybridTracker<> tracker(rt);
+  RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
+  ThreadContext& ctx = rt.register_thread();
+  enforcer.attach_thread(ctx);
+  TrackedVar<std::uint64_t> v;
+  v.init(tracker, ctx, 5);
+
+  enforcer.run_region(ctx, [&] {
+    v.store(tracker, ctx, 6);
+    ++ctx.point_index;  // entering the next tracked access
+    ctx.run_abort_hook();
+  });
+  EXPECT_TRUE(ctx.restart_requested);
+  EXPECT_EQ(v.raw_load(), 5u);
+}
+
+// A forced response inside the region's first access finds nothing to roll
+// back: the region keeps running and no restart is requested.
+TEST(RsEnforcer, ForcedResponseInFirstAccessKeepsRunning) {
+  Runtime rt;
+  HybridTracker<> tracker(rt);
+  RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
+  ThreadContext& ctx = rt.register_thread();
+  enforcer.attach_thread(ctx);
+  TrackedVar<std::uint64_t> v;
+  v.init(tracker, ctx, 5);
+
+  enforcer.run_region(ctx, [&] {
+    ++ctx.point_index;  // inside the first tracked access
+    ctx.run_abort_hook();
+    v.store(tracker, ctx, 6);
+  });
+  EXPECT_FALSE(ctx.restart_requested);
+  EXPECT_EQ(v.raw_load(), 6u);
+}
+
 // Thread a restarts its region while thread b holds an open region with a
 // logged write: a's rollback must undo a's writes only and leave b's log and
 // b's write in place.
@@ -301,12 +343,11 @@ TEST(RsEnforcer, RestartRollsBackOnlyTheRestartingThread) {
   std::uint64_t xa_after_rollback = 0;
   enforcer.run_region(b, [&] {
     yb.store(tracker, b, 21);
-    ++b.region_access_count;
     ASSERT_EQ(b.undo_log->size(), 1u);
     enforcer.run_region(a, [&] {
       if (attempts++ == 0) {
         xa.store(tracker, a, 11);
-        ++a.region_access_count;
+        ++a.point_index;  // now inside the region's second access
         // The forced response a responding safe point would deliver.
         a.run_abort_hook();
         ASSERT_TRUE(a.restart_requested);

@@ -132,14 +132,11 @@ TEST_F(PessStateFixture, WriteByOwnerLocksWrExWLock) {
   EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExWLock, owner->id));
   EXPECT_EQ(owner->stats.pess_uncontended, 1u);
   EXPECT_EQ(owner->stats.pess_reentrant, 0u);
-  // Reentrant same-state write and read while write-locked. Barrier elision
-  // may serve the trailing accesses from the ownership cache (a reentrant
-  // held-lock access is exactly the case it targets), so count cache hits
-  // alongside the reentrant counters.
+  // Reentrant same-state write and read while write-locked.
   var.store(tracker, *owner, 52);
   (void)var.load(tracker, *owner);
-  EXPECT_EQ(owner->stats.pess_uncontended + owner->stats.elision_hits, 3u);
-  EXPECT_EQ(owner->stats.pess_reentrant + owner->stats.elision_hits, 2u);
+  EXPECT_EQ(owner->stats.pess_uncontended, 3u);
+  EXPECT_EQ(owner->stats.pess_reentrant, 2u);
   tracker.flush(*owner);
   EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExPess, owner->id));
 }
@@ -294,16 +291,51 @@ TEST_F(PessStateFixture, PolicyReturnsLowConflictObjectToOptimistic) {
   cfg.policy.inertia = 5;
   Tracker t2(rt, cfg);
   t2.attach_thread(*owner);
-  // The policy only profiles transitions the tracker actually sees; disable
-  // elision so all 6 writes reach it (elided accesses skip profiling by
-  // design — they change performance counters, never policy inputs).
-  owner->elision_on.store(false, std::memory_order_relaxed);
   // var is WrExPess(owner); 6 owner writes = 6 non-conflicting transitions.
   for (int i = 0; i < 6; ++i) var.store(t2, *owner, 1);
   t2.flush(*owner);
   EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExOpt, owner->id));
   EXPECT_EQ(owner->stats.pess_to_opt, 1u);
   EXPECT_TRUE(var.meta().profile().load().must_stay_opt());
+}
+
+// Every reentrant access reaches the tracker and feeds Eq. 5: N writes to a
+// held write lock, with no safe point between them, are N non-conflicting
+// pessimistic transitions in the object's profile.
+TEST_F(PessStateFixture, ReentrantWritesEachRaisePessNonConfl) {
+  var.store(tracker, *owner, 1);  // take the write lock
+  ASSERT_TRUE(state_is(var.meta(), StateKind::kWrExWLock, owner->id));
+  const std::uint32_t before = var.meta().profile().load().pess_non_confl();
+  constexpr std::uint32_t kN = 40;
+  for (std::uint32_t i = 0; i < kN; ++i) var.store(tracker, *owner, i);
+  EXPECT_EQ(var.meta().profile().load().pess_non_confl(), before + kN);
+  EXPECT_EQ(owner->stats.pess_reentrant, kN);
+  tracker.flush(*owner);
+}
+
+TEST(HybridTracker, ReentrantHeldLockLoopStaysLockedUntilFlush) {
+  Runtime rt;
+  Tracker tracker(rt, HybridConfig{});
+  ThreadContext& ctx = rt.register_thread();
+  tracker.attach_thread(ctx);
+  TrackedVar<std::uint64_t> var;
+  var.init(tracker, ctx, 0);
+  var.meta().reset(StateWord::wr_ex_pess(ctx.id));
+
+  constexpr std::uint64_t kN = 500;
+  for (std::uint64_t i = 1; i <= kN; ++i) var.store(tracker, ctx, i);
+  // The write lock is held for the whole loop and the value is current.
+  EXPECT_EQ(var.meta().load_state().kind(), StateKind::kWrExWLock);
+  EXPECT_EQ(var.raw_load(), kN);
+  EXPECT_EQ(ctx.stats.accesses(), kN);
+  EXPECT_EQ(ctx.stats.pess_reentrant, kN - 1);
+
+  // flush() releases the lock. All kN non-conflicting transitions were
+  // profiled, past Inertia with no conflicts, so Eq. 5 returns the object
+  // to optimistic.
+  tracker.flush(ctx);
+  EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExOpt, ctx.id));
+  EXPECT_EQ(ctx.stats.pess_to_opt, 1u);
 }
 
 // ---- WrExRLock configuration modes (§7.1) ------------------------------------

@@ -31,12 +31,19 @@ struct OptFixture : ::testing::Test {
 TEST_F(OptFixture, SameStateAccessesAreFastPath) {
   var.store(tracker, t0, 1);
   (void)var.load(tracker, t0);
-  // With barrier elision compiled in, the second access may be served by the
-  // ownership cache instead of the tracker fast path; either way both count
-  // as same-state accesses and neither coordinates.
-  EXPECT_EQ(t0.stats.opt_same + t0.stats.elision_hits, 2u);
+  EXPECT_EQ(t0.stats.opt_same, 2u);
   EXPECT_EQ(t0.stats.opt_conflicting(), 0u);
   EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExOpt, t0.id));
+}
+
+TEST_F(OptFixture, HotLoopConservesAccessCounts) {
+  constexpr std::uint64_t kN = 1000;
+  for (std::uint64_t i = 0; i < kN; ++i) var.store(tracker, t0, i);
+  for (std::uint64_t i = 0; i < kN; ++i) (void)var.load(tracker, t0);
+  // Every access reaches the tracker and is counted exactly once.
+  EXPECT_EQ(t0.stats.accesses(), 2 * kN);
+  EXPECT_EQ(t0.stats.opt_same, 2 * kN);
+  EXPECT_EQ(var.raw_load(), kN - 1);
 }
 
 TEST_F(OptFixture, ConflictingReadOfBlockedOwner) {

@@ -307,6 +307,27 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   std::remove(path.c_str());
 }
 
+// Kind 24 was kElisionFlush. Rev-2 traces written before barrier elision was
+// removed may carry it: they must still load and render.
+TEST(TraceIo, RetiredElisionFlushKindStillLoads) {
+  const std::string path = temp_path("ht_trace_retired_kind.bin");
+  TraceSnapshot snap = sample_snapshot();
+  snap.threads[0].events.push_back(
+      make_event(static_cast<EventKind>(24), 5000, 896, 128, 7, 4));
+  ASSERT_TRUE(save_trace(snap, path));
+
+  TraceSnapshot loaded;
+  ASSERT_EQ(load_trace(path, loaded), TraceLoadResult::kOk);
+  ASSERT_EQ(loaded.threads[0].events.size(), 4u);
+  EXPECT_STREQ(event_kind_name(static_cast<EventKind>(24)), "unknown");
+  std::size_t events = 0;
+  std::string error;
+  EXPECT_TRUE(validate_chrome_trace(to_chrome_trace_json(loaded), &events,
+                                    &error))
+      << error;
+  std::remove(path.c_str());
+}
+
 TEST(TraceIo, ReportsWhyAFileWasRejected) {
   const std::string good = temp_path("ht_trace_good.bin");
   ASSERT_TRUE(save_trace(sample_snapshot(), good));

@@ -262,66 +262,6 @@ TEST_P(TrackerDifferentialP, AllFamiliesAgreeOnMemoryAndRaces) {
   }
 }
 
-// Elision family (DESIGN.md §15): the race-checked differential runs above
-// force the ownership cache off (RaceDetector::attach_thread stores the kill
-// switch), so they never exercise the elided paths. This variant drops the
-// detector, runs each sound family with elision on AND off, and requires the
-// final memory to match the schedule-independent oracle both ways — a lost
-// update or stale-ownership write on the elided path shows up as the wrong
-// per-object constant.
-class ElisionDifferentialP
-    : public ::testing::TestWithParam<DifferentialShard> {};
-
-TEST_P(ElisionDifferentialP, ElidedRunsMatchTheMemoryOracle) {
-  const DifferentialShard shard = GetParam();
-  for (std::uint64_t seed = shard.first_seed;
-       seed < shard.first_seed + shard.n_seeds; ++seed) {
-    const int nthreads = 2 + static_cast<int>(seed % 2);
-    const int objects = 4 + static_cast<int>((seed / 2) % 3);
-    const GeneratedProgram g =
-        make_differential_program(seed, nthreads, objects,
-                                  /*ops_per_thread=*/8);
-
-    for (const Family family : {Family::kOptimistic, Family::kHybrid}) {
-      for (const bool elision : {true, false}) {
-        Explorer ex(family, nthreads);
-        ex.run_config().elision = elision;
-        ex.check_policy().extra = [&](const RunResult& r) -> std::string {
-          if (r.final_values != g.oracle.final_values) {
-            return "elision differential seed " + std::to_string(seed) +
-                   " (" + family_name(family) +
-                   ", elision=" + (elision ? "on" : "off") +
-                   "): final memory " + values_to_string(r.final_values) +
-                   " != expected " +
-                   values_to_string(g.oracle.final_values);
-          }
-          return "";
-        };
-        const ExploreOutcome out =
-            ex.explore_fuzz(g.prog, /*seed=*/seed * 2654435761ULL + elision,
-                            /*schedules=*/4, /*preemption_bound=*/3);
-        if (out.violation) {
-          ADD_FAILURE() << "elision differential seed " << seed << " family "
-                        << family_name(family) << " elision="
-                        << (elision ? "on" : "off") << "\n"
-                        << out.violation->to_string();
-          return;
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, ElisionDifferentialP,
-    ::testing::Values(DifferentialShard{0, 24}, DifferentialShard{24, 24},
-                      DifferentialShard{48, 24}, DifferentialShard{72, 24}),
-    [](const ::testing::TestParamInfo<DifferentialShard>& shard_info) {
-      return "s" + std::to_string(shard_info.param.first_seed) + "_" +
-             std::to_string(shard_info.param.first_seed +
-                            shard_info.param.n_seeds - 1);
-    });
-
 // 8 shards x 32 seeds = 256 program seeds, each cross-checked over 4
 // families x 6 fuzzed schedules (6144 executions) — sharded so `ctest -j`
 // spreads the work.

@@ -195,11 +195,10 @@ void run_timed(const Options& opt, const WorkloadConfig& cfg,
   });
   report.add_series(cfg.name, name, series);
   report.add_stats(cfg.name, name, stats);
-  // Per-thread fast-path and elision-cache breakdown of the latest trial.
-  // Fast-path hits = accesses needing no atomic operation beyond the state
-  // load (optimistic same-state + pessimistic reentrant); elision hits
-  // skipped even that load. Thread-to-thread skew here localizes which
-  // threads' working sets are churning owners.
+  // Per-thread fast-path breakdown of the latest trial. Fast-path hits =
+  // accesses needing no atomic operation beyond the state load (optimistic
+  // same-state + pessimistic reentrant). Thread-to-thread skew here
+  // localizes which threads' working sets are churning owners.
   json::Array rows;
   for (std::size_t t = 0; t < per_thread.size(); ++t) {
     const TransitionStats& s = per_thread[t];
@@ -207,20 +206,12 @@ void run_timed(const Options& opt, const WorkloadConfig& cfg,
     o["thread"] = json::Value(static_cast<std::uint64_t>(t));
     o["accesses"] = json::Value(s.accesses());
     o["fast_path_hits"] = json::Value(s.opt_same + s.pess_reentrant);
-    o["elision_hits"] = json::Value(s.elision_hits);
-    o["elision_misses"] = json::Value(s.elision_misses);
-    o["elision_flushes"] = json::Value(s.elision_flushes);
-    o["elision_hit_rate"] = json::Value(s.elision_hit_rate());
     rows.push_back(json::Value(std::move(o)));
   }
   report.add_value(cfg.name, name, "per_thread", json::Value(std::move(rows)));
-  report.add_value(cfg.name, name, "elision_hit_rate",
-                   json::Value(stats.elision_hit_rate()));
-  std::printf("%-12s %-12s median %.4fs  mean %.4fs  ±%.4fs (%d trials)  "
-              "elision %.1f%%\n",
+  std::printf("%-12s %-12s median %.4fs  mean %.4fs  ±%.4fs (%d trials)\n",
               cfg.name, name, series.seconds.median(), series.seconds.mean(),
-              series.seconds.ci95_half_width(), opt.trials,
-              100.0 * stats.elision_hit_rate());
+              series.seconds.ci95_half_width(), opt.trials);
 }
 
 // One extra run with telemetry installed; saves the drained trace.
