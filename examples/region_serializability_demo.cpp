@@ -30,8 +30,8 @@ struct Bank {
   std::vector<TrackedVar<std::uint64_t>> accounts{2 * kPairs};
 
   template <typename Tracker>
-  void init_for_thread(Tracker& trk, ThreadContext& ctx) {
-    if (ctx.id != 0) return;
+  void init_for_thread(Tracker& trk, ThreadContext& ctx, ThreadId tid) {
+    if (tid != 0) return;
     for (auto& a : accounts) a.init(trk, ctx, kInitialBalance);
   }
   void raw_reset_values() {}

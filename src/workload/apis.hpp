@@ -42,8 +42,8 @@ class DirectApi {
   void end_thread() { rt_->unregister_thread(*ctx_); }
 
   template <typename Data>
-  void init_data(Data& data, ThreadId /*tid*/ = 0) {
-    data.init_for_thread(*tracker_, *ctx_);
+  void init_data(Data& data, ThreadId tid = 0) {
+    data.init_for_thread(*tracker_, *ctx_, tid);
   }
 
   std::uint64_t load(TrackedVar<std::uint64_t>& v) {
@@ -96,8 +96,8 @@ class EnforcerApi {
   void end_thread() { rt_->unregister_thread(*ctx_); }
 
   template <typename Data>
-  void init_data(Data& data, ThreadId /*tid*/ = 0) {
-    data.init_for_thread(enforcer_->tracker(), *ctx_);
+  void init_data(Data& data, ThreadId tid = 0) {
+    data.init_for_thread(enforcer_->tracker(), *ctx_, tid);
   }
 
   std::uint64_t load(TrackedVar<std::uint64_t>& v) {

@@ -22,8 +22,8 @@ struct MicrobenchData {
   ProgramLock lock;
 
   template <typename Tracker>
-  void init_for_thread(Tracker& tracker, ThreadContext& ctx) {
-    if (ctx.id == 0) counter.init(tracker, ctx, 0);
+  void init_for_thread(Tracker& tracker, ThreadContext& ctx, ThreadId tid) {
+    if (tid == 0) counter.init(tracker, ctx, 0);
   }
   void raw_reset_values() { counter.raw_store(0); }
 };

@@ -83,8 +83,8 @@ TEST(RsEnforcer, WithoutEnforcerRacyIncrementsLoseUpdates) {
 struct XyData {
   TrackedVar<std::uint64_t> x, y;
   template <typename T>
-  void init_for_thread(T& trk, ThreadContext& ctx) {
-    if (ctx.id != 0) return;
+  void init_for_thread(T& trk, ThreadContext& ctx, ThreadId tid) {
+    if (tid != 0) return;
     x.init(trk, ctx, 0);
     y.init(trk, ctx, 0);
   }
@@ -322,6 +322,28 @@ TEST(RsEnforcer, ForcedResponseInFirstAccessKeepsRunning) {
   });
   EXPECT_FALSE(ctx.restart_requested);
   EXPECT_EQ(v.raw_load(), 6u);
+}
+
+// ElisionTracking: a repeated store to the same variable inside a region,
+// which barrier elision (removed, DESIGN.md §15) used to serve from its
+// ownership cache. Each store feeds the undo log.
+TEST(ElisionTracking, ElidedStoresStillFeedTheUndoLog) {
+  Runtime rt;
+  HybridTracker<> tracker(rt, HybridConfig{});
+  RsEnforcer<HybridTracker<>> enf(rt, tracker);
+  EnforcerApi<HybridTracker<>> api(rt, enf);
+  api.begin_thread(0);
+  ThreadContext& ctx = api.context();
+  TrackedVar<std::uint64_t> v;
+  v.init(tracker, ctx, 7);
+  api.region([&] {
+    api.store(v, 1);
+    api.store(v, 2);
+    ASSERT_NE(ctx.undo_log, nullptr);
+    EXPECT_EQ(ctx.undo_log->size(), 2u);
+  });
+  EXPECT_EQ(v.raw_load(), 2u);
+  api.end_thread();
 }
 
 // Thread a restarts its region while thread b holds an open region with a

@@ -313,7 +313,9 @@ TEST_F(PessStateFixture, ReentrantWritesEachRaisePessNonConfl) {
   tracker.flush(*owner);
 }
 
-TEST(HybridTracker, ReentrantHeldLockLoopStaysLockedUntilFlush) {
+// ElisionTracking: a reentrant held-lock loop, the access shape barrier
+// elision (removed, DESIGN.md §15) targeted. Every access reaches the tracker.
+TEST(ElisionTracking, HybridReentrantHeldLockLoopStaysLockedUntilFlush) {
   Runtime rt;
   Tracker tracker(rt, HybridConfig{});
   ThreadContext& ctx = rt.register_thread();

@@ -36,13 +36,24 @@ TEST_F(OptFixture, SameStateAccessesAreFastPath) {
   EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExOpt, t0.id));
 }
 
-TEST_F(OptFixture, HotLoopConservesAccessCounts) {
+// ElisionTracking: the repeated same-owner accesses that barrier elision
+// (removed, DESIGN.md §15) used to serve from its ownership cache. Each one
+// now reaches the tracker and is counted exactly once.
+TEST(ElisionTracking, OptimisticHotLoopConservesAccessCounts) {
+  Runtime rt;
+  Tracker tracker(rt);
+  ThreadContext& ctx = rt.register_thread();
+  tracker.attach_thread(ctx);
+  TrackedVar<std::uint64_t> var;
+  var.init(tracker, ctx, 0);
+
   constexpr std::uint64_t kN = 1000;
-  for (std::uint64_t i = 0; i < kN; ++i) var.store(tracker, t0, i);
-  for (std::uint64_t i = 0; i < kN; ++i) (void)var.load(tracker, t0);
-  // Every access reaches the tracker and is counted exactly once.
-  EXPECT_EQ(t0.stats.accesses(), 2 * kN);
-  EXPECT_EQ(t0.stats.opt_same, 2 * kN);
+  for (std::uint64_t i = 0; i < kN; ++i) var.store(tracker, ctx, i);
+  for (std::uint64_t i = 0; i < kN; ++i) (void)var.load(tracker, ctx);
+
+  EXPECT_EQ(ctx.stats.accesses(), 2 * kN);
+  EXPECT_EQ(ctx.stats.opt_same, 2 * kN);
+  EXPECT_EQ(ctx.stats.elision_hits, 0u);
   EXPECT_EQ(var.raw_load(), kN - 1);
 }
 

@@ -117,5 +117,21 @@ TEST(PessimisticStress, RacyIncrementsAreNeverLost) {
       << s.to_string();
 }
 
+// ElisionTracking: standalone pessimistic tracking CAS-locks every access, so
+// barrier elision (removed, DESIGN.md §15) never applied to it. Every access
+// reaches the tracker and is counted once.
+TEST(ElisionTracking, StandalonePessimisticNeverElides) {
+  Runtime rt;
+  Tracker tracker(rt);
+  ThreadContext& ctx = rt.register_thread();
+  tracker.attach_thread(ctx);
+  TrackedVar<std::uint64_t> var;
+  var.init(tracker, ctx, 0);
+  for (int i = 0; i < 100; ++i) var.store(tracker, ctx, 1);
+  EXPECT_EQ(ctx.stats.elision_hits, 0u);
+  EXPECT_EQ(ctx.stats.accesses(), 100u);
+  EXPECT_EQ(ctx.stats.pess_alone_same, 100u);
+}
+
 }  // namespace
 }  // namespace ht

@@ -72,6 +72,56 @@ std::vector<ExhaustiveCase> all_cases() {
 INSTANTIATE_TEST_SUITE_P(AllFamilies, ExhaustiveP,
                          ::testing::ValuesIn(all_cases()), case_name);
 
+class ElisionEquivalenceP : public ::testing::TestWithParam<ExhaustiveCase> {};
+
+// The set of reachable final-memory outcomes over ALL interleavings must be
+// identical with the race detector on and off: the detector observes every
+// access but must never change what the program computes. The suite once
+// compared barrier elision on vs off (removed, DESIGN.md §15); attaching the
+// detector is the remaining per-run switch that sits on every access, and it
+// covers the same two families.
+TEST_P(ElisionEquivalenceP, OutcomeSetsMatchOnVsOff) {
+  const ExhaustiveCase& c = GetParam();
+  const Program* prog = find_builtin(c.program);
+  ASSERT_NE(prog, nullptr) << c.program;
+
+  auto outcome_set = [&](bool race_detect) {
+    Explorer ex(c.family, prog->nthreads());
+    ex.run_config().race_detect = race_detect;
+    std::set<std::vector<std::uint64_t>> outcomes;
+    ex.check_policy().extra = [&](const RunResult& r) -> std::string {
+      outcomes.insert(r.final_values);
+      return "";
+    };
+    const ExploreOutcome out = ex.explore_exhaustive(*prog, kBudget);
+    EXPECT_FALSE(out.violation.has_value())
+        << c.program << " race_detect=" << race_detect << ": "
+        << out.violation->to_string();
+    EXPECT_TRUE(out.stats.complete)
+        << c.program << " race_detect=" << race_detect;
+    return outcomes;
+  };
+
+  const auto detected = outcome_set(true);
+  const auto undetected = outcome_set(false);
+  EXPECT_FALSE(undetected.empty()) << c.program;
+  EXPECT_EQ(detected, undetected)
+      << c.program << ": the race detector changed the reachable final memory";
+}
+
+std::vector<ExhaustiveCase> equivalence_cases() {
+  std::vector<ExhaustiveCase> cases;
+  for (Family f : {Family::kOptimistic, Family::kHybrid}) {
+    for (const NamedProgram& np : builtin_programs()) {
+      cases.push_back({f, np.name});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Builtins, ElisionEquivalenceP,
+                         ::testing::ValuesIn(equivalence_cases()), case_name);
+
 class SchedExhaustive : public ::testing::TestWithParam<Family> {};
 
 // Lock-synchronized increments are data-race-free by construction, so in

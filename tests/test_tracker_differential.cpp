@@ -262,6 +262,59 @@ TEST_P(TrackerDifferentialP, AllFamiliesAgreeOnMemoryAndRaces) {
   }
 }
 
+// Detector-free variant: the runs above attach the race detector to every
+// thread. This one runs the two optimistic-path families without it and
+// requires the final memory to match the schedule-independent oracle — a lost
+// update or stale-ownership write shows up as the wrong per-object constant.
+// The name dates from barrier elision (removed, DESIGN.md §15), whose cached
+// paths these runs used to cover.
+class ElisionDifferentialP
+    : public ::testing::TestWithParam<DifferentialShard> {};
+
+TEST_P(ElisionDifferentialP, ElidedRunsMatchTheMemoryOracle) {
+  const DifferentialShard shard = GetParam();
+  for (std::uint64_t seed = shard.first_seed;
+       seed < shard.first_seed + shard.n_seeds; ++seed) {
+    const int nthreads = 2 + static_cast<int>(seed % 2);
+    const int objects = 4 + static_cast<int>((seed / 2) % 3);
+    const GeneratedProgram g =
+        make_differential_program(seed, nthreads, objects,
+                                  /*ops_per_thread=*/8);
+
+    for (const Family family : {Family::kOptimistic, Family::kHybrid}) {
+      Explorer ex(family, nthreads);
+      ex.check_policy().extra = [&](const RunResult& r) -> std::string {
+        if (r.final_values != g.oracle.final_values) {
+          return "detector-free differential seed " + std::to_string(seed) +
+                 " (" + family_name(family) + "): final memory " +
+                 values_to_string(r.final_values) + " != expected " +
+                 values_to_string(g.oracle.final_values);
+        }
+        return "";
+      };
+      const ExploreOutcome out =
+          ex.explore_fuzz(g.prog, /*seed=*/seed * 2654435761ULL,
+                          /*schedules=*/8, /*preemption_bound=*/3);
+      if (out.violation) {
+        ADD_FAILURE() << "detector-free differential seed " << seed
+                      << " family " << family_name(family) << "\n"
+                      << out.violation->to_string();
+        return;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ElisionDifferentialP,
+    ::testing::Values(DifferentialShard{0, 24}, DifferentialShard{24, 24},
+                      DifferentialShard{48, 24}, DifferentialShard{72, 24}),
+    [](const ::testing::TestParamInfo<DifferentialShard>& shard_info) {
+      return "s" + std::to_string(shard_info.param.first_seed) + "_" +
+             std::to_string(shard_info.param.first_seed +
+                            shard_info.param.n_seeds - 1);
+    });
+
 // 8 shards x 32 seeds = 256 program seeds, each cross-checked over 4
 // families x 6 fuzzed schedules (6144 executions) — sharded so `ctest -j`
 // spreads the work.

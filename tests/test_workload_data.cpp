@@ -42,14 +42,32 @@ TEST(WorkloadData, InitForThreadSplitsOwnership) {
   ThreadContext& t0 = rt.register_thread();
   ThreadContext& t1 = rt.register_thread();
 
-  data.init_for_thread(trk, t0);
-  data.init_for_thread(trk, t1);
+  data.init_for_thread(trk, t0, 0);
+  data.init_for_thread(trk, t1, 1);
 
   // Shared pools owned by thread 0; each private pool by its thread.
   EXPECT_EQ(data.general(3).meta().load_state().tid(), t0.id);
   EXPECT_EQ(data.hot(1).meta().load_state().tid(), t0.id);
   EXPECT_EQ(data.private_obj(0, 2).meta().load_state().tid(), t0.id);
   EXPECT_EQ(data.private_obj(1, 2).meta().load_state().tid(), t1.id);
+}
+
+// Threads may register with the runtime in any order: the private pool a
+// thread initializes is the one its body indexes by workload tid.
+TEST(WorkloadData, PrivatePoolFollowsWorkloadTidNotRuntimeId) {
+  const WorkloadConfig cfg = small_config();
+  WorkloadData data(cfg);
+  Runtime rt;
+  OptimisticTracker<> trk(rt);
+  ThreadContext& first = rt.register_thread();   // workload thread 1
+  ThreadContext& second = rt.register_thread();  // workload thread 0
+
+  data.init_for_thread(trk, first, 1);
+  data.init_for_thread(trk, second, 0);
+
+  EXPECT_EQ(data.private_obj(1, 2).meta().load_state().tid(), first.id);
+  EXPECT_EQ(data.private_obj(0, 2).meta().load_state().tid(), second.id);
+  EXPECT_EQ(data.general(3).meta().load_state().tid(), second.id);
 }
 
 TEST(WorkloadData, WarmupSettlesSharedStatesWithoutTimedConflicts) {
