@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
     WorkloadData data(cfg);
     Runtime rt;
     OptimisticTracker<true> trk(rt);
-    trk.enable_conflict_census();
     const auto r = run_workload(cfg, data, [&](ThreadId) {
       return DirectApi<OptimisticTracker<true>>(rt, trk);
     });

@@ -6,8 +6,8 @@
 // violate both: threads stall in long JNI-style computations, processes die
 // mid-write, disks tear files. This module makes those failures *injectable*
 // — deterministically, from a seed — so the hardening that handles them (the
-// coordination watchdog, bounded-wait coordination, the v2 crash-tolerant
-// recording format) is testable instead of aspirational.
+// coordination watchdog, the v2 crash-tolerant recording format) is
+// testable instead of aspirational.
 //
 // Sites and their effects:
 //   kPollDelay      busy-spin delay at a safe-point poll (slow safe point);

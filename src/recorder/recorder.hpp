@@ -2,11 +2,14 @@
 // before edges into, plus the response-logging hook for nondeterministic
 // release-counter bumps.
 //
-// Composing it with OptimisticTracker gives the paper's optimistic recorder
-// (§4.1, prior work [10]); composing with HybridTracker gives the hybrid
-// recorder (§4.2). Either way the same dependences are captured — the hybrid
-// recorder merely captures pessimistic-transition edges from release
-// counters instead of coordination round trips.
+// Composing it with HybridTracker gives the hybrid recorder (§4.2);
+// composing it with OptimisticTracker, which is HybridTracker at an infinite
+// cutoff, gives the paper's optimistic recorder (§4.1, prior work [10]): no
+// object goes pessimistic, so every cross-thread edge comes from a
+// coordination round trip or a RdSh fan-out. Either way the same
+// dependences are captured — the hybrid recorder merely captures
+// pessimistic-transition edges from release counters instead of
+// coordination round trips.
 #pragma once
 
 #include <atomic>

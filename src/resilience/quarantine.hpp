@@ -37,7 +37,7 @@ class QuarantineSweep {
   void set_enumerator(Enumerate e) { enumerate_ = std::move(e); }
   void set_seal(std::function<void(ThreadId)> s) { seal_ = std::move(s); }
   void set_notify(std::function<void(ThreadId)> n) { notify_ = std::move(n); }
-  // Pure optimistic tracking has no pessimistic states; abandoned Ints must
+  // Optimistic tracking never goes pessimistic; abandoned Ints must
   // land optimistic there (see seizure_landing).
   void set_land_pessimistic(bool p) { land_pessimistic_ = p; }
 

@@ -9,8 +9,8 @@
 // wait-and-retry), then land the state the victim's own deferred-unlock
 // flush would have produced — normally the *pessimistic* unlocked flavor,
 // transferring the contested object to pessimistic tracking (degrade rather
-// than die). Under the pure optimistic tracker, which asserts on pessimistic
-// states, an Int is landed optimistic instead.
+// than die). At an infinite cutoff (optimistic tracking), where nothing may
+// go pessimistic, an Int is landed optimistic instead.
 //
 // Safety: every victim-side mutation of a seizable state is a CAS (the flush
 // unlock, the IntGuard restore, the post-coordination landing), so for each
@@ -45,8 +45,9 @@ inline bool victim_owned(StateWord s, ThreadId victim) {
 // seized objects land pessimistic so future conflicts are plain lock waits,
 // not coordination with a dead thread. An abandoned Int has no recorded
 // prior state; treat it as the victim's exclusive write (the strongest claim
-// it could have been coordinating toward). `land_pessimistic` is false only
-// under the pure optimistic tracker, which has no pessimistic states.
+// it could have been coordinating toward). `land_pessimistic` is false for
+// trackers that never go pessimistic: hybrid at an infinite cutoff
+// (optimistic tracking) and the ideal tracker.
 inline StateWord seizure_landing(StateWord s, bool land_pessimistic) {
   switch (s.kind()) {
     case StateKind::kWrExWLock:

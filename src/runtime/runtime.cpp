@@ -309,8 +309,7 @@ struct ProgressFingerprint {
 
 }  // namespace
 
-std::optional<Runtime::CoordResult> Runtime::coordinate_impl(
-    ThreadContext& self, ThreadId owner, std::uint64_t max_epochs) {
+Runtime::CoordResult Runtime::coordinate(ThreadContext& self, ThreadId owner) {
   HT_ASSERT(owner != self.id, "self-coordination");
   ThreadContext& remote = registry_.context(owner);
   ++self.stats.coordination_rounds;
@@ -340,7 +339,7 @@ std::optional<Runtime::CoordResult> Runtime::coordinate_impl(
   // thread's kCoordRoundTrip, the owner half joins by watermark range.
   HT_TELEM_EVENT(self, kCoordRequest, ticket, owner, 0);
   const WatchdogConfig& wd = cfg_.watchdog;
-  const bool police = max_epochs == 0 && wd.enabled;
+  const bool police = wd.enabled;
   // Jitter the sleep ticks by requester id: coordinators whose leases on the
   // same stalled owner expire together must not re-request in lockstep.
   Backoff backoff(/*spins_before_yield=*/2, /*yields_before_sleep=*/64,
@@ -375,11 +374,6 @@ std::optional<Runtime::CoordResult> Runtime::coordinate_impl(
     // virtual CPU; OS backoff on top would only burn wall time.
     if (!schedule::virtualized()) backoff.pause();
     ++epochs;
-    if (max_epochs != 0 && epochs >= max_epochs) {
-      // Bounded wait expired. The abandoned ticket stays harmless: it is
-      // below the owner's watermark after its next responding safe point.
-      return std::nullopt;
-    }
     if (police) {
       const ProgressFingerprint now = ProgressFingerprint::of(remote);
       if (now != last) {
@@ -410,17 +404,6 @@ std::optional<Runtime::CoordResult> Runtime::coordinate_impl(
       }
     }
   }
-}
-
-Runtime::CoordResult Runtime::coordinate(ThreadContext& self, ThreadId owner) {
-  // Unbounded wait never returns nullopt (it either completes or throws).
-  return *coordinate_impl(self, owner, /*max_epochs=*/0);
-}
-
-std::optional<Runtime::CoordResult> Runtime::coordinate_bounded(
-    ThreadContext& self, ThreadId owner, std::uint64_t max_epochs) {
-  HT_ASSERT(max_epochs > 0, "bounded coordination needs a nonzero bound");
-  return coordinate_impl(self, owner, max_epochs);
 }
 
 Runtime::CoordResult Runtime::coordinate_batch(ThreadContext& self,
@@ -506,7 +489,7 @@ void Runtime::coordinate_batch_multi(ThreadContext& self, BatchGroup* groups,
   // for its owner to park (implicit exit; the posted node is abandoned and
   // recycles at the next drain). Unwinding exits (RegionRestart from
   // responding, quarantine) abandon all pending nodes the same way.
-  // Watchdog policing mirrors coordinate_impl, aimed at the first
+  // Watchdog policing mirrors coordinate(), aimed at the first
   // unresolved owner and re-aimed as owners resolve: the mailbox is an
   // alternate request channel, not an alternate failure model.
   const WatchdogConfig& wd = cfg_.watchdog;
@@ -604,7 +587,7 @@ void Runtime::coordinate_batch_multi(ThreadContext& self, BatchGroup* groups,
     for (std::size_t i = 0; i < n; ++i) {
       if (resolved[i] || nodes[i] != nullptr) continue;
       BatchGroup& g = groups[i];
-      g.result = *coordinate_impl(self, g.owner, /*max_epochs=*/0);
+      g.result = coordinate(self, g.owner);
       resolved[i] = true;
       finish(g);
     }

@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -285,14 +284,6 @@ class Runtime {
   void coordinate_batch_multi(ThreadContext& self, BatchGroup* groups,
                               std::size_t n);
 
-  // Bounded-wait variant: gives up after `max_epochs` backoff epochs and
-  // returns nullopt instead of spinning on a dead or stalled owner. Never
-  // consults the watchdog policy (the bound IS the policy); the abandoned
-  // ticket is answered by the owner's next safe point if it ever revives.
-  std::optional<CoordResult> coordinate_bounded(ThreadContext& self,
-                                                ThreadId owner,
-                                                std::uint64_t max_epochs);
-
   // Conservative coordination with every other registered thread (RdSh old
   // states, paper footnote 4). Returns true if any round trip was explicit.
   bool coordinate_all_others(ThreadContext& self);
@@ -368,13 +359,6 @@ class Runtime {
   // inline path; called only when injector_ != nullptr).
   bool poll_fault_suppressed(ThreadContext& ctx);
   void slow_path_fault(ThreadContext& ctx);
-
-  // Shared wait loop behind coordinate / coordinate_bounded. `max_epochs`
-  // of 0 means unbounded (watchdog-policed). Returns nullopt only for
-  // bounded waits that expired.
-  std::optional<CoordResult> coordinate_impl(ThreadContext& self,
-                                             ThreadId owner,
-                                             std::uint64_t max_epochs);
 
   CoordStallDiagnostic build_stall_diagnostic(const ThreadContext& self,
                                               const ThreadContext& remote,

@@ -440,8 +440,9 @@ RunResult run_core(detail::WorkerPool& pool, const Program& prog,
       [&vars](const std::function<void(ObjectMeta&)>& fn) {
         for (TrackedVar<std::uint64_t>& v : vars) fn(v.meta());
       });
-  // The pure optimistic and ideal trackers assert on pessimistic kinds;
-  // abandoned states must land back in their own state family there.
+  // Optimistic tracking never goes pessimistic and the ideal tracker
+  // asserts on pessimistic kinds; abandoned states must land back in their
+  // own state family there.
   sweep.set_land_pessimistic(family == Family::kPessimistic ||
                              family == Family::kHybrid);
   RuntimeConfig rtc;

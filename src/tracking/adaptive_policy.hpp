@@ -33,6 +33,7 @@ struct PolicyConfig {
   std::uint32_t inertia = 100;     // §7.3 default
   // Fig 7 "Hybrid tracking w/infinite cutoff": no object ever goes
   // pessimistic; measures hybrid tracking's costs without its benefits.
+  // This is also optimistic tracking (OptimisticTracker).
   bool infinite_cutoff = false;
   // §7.5 extension: escape to optimistic after this many contended
   // pessimistic transitions (0 disables).
@@ -79,21 +80,24 @@ class AdaptivePolicy {
   const PolicyConfig& config() const { return cfg_; }
 
   // Degradation-governor override (src/resilience/, DESIGN.md §11): while
-  // degraded, every conflicting transition transfers to pessimistic and no
-  // unlock goes back — global coarse mode on top of the per-object policy,
-  // flipped under coordination storms and restored under calm.
+  // degraded, every conflicting transition transfers to pessimistic (except
+  // at an infinite cutoff) and no unlock goes back — global coarse mode on
+  // top of the per-object policy, flipped under coordination storms and
+  // restored under calm.
   void set_degraded(bool d) { degraded_.store(d, std::memory_order_relaxed); }
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
 
   // Called when an optimistic conflicting transition completes. Counts the
   // conflict (explicit coordination only) and decides whether the object
-  // transfers to a pessimistic state (Fig 10 line 46, Eq. 4).
+  // transfers to a pessimistic state (Fig 10 line 46, Eq. 4). At an infinite
+  // cutoff nothing transfers, not even while degraded, but the count still
+  // runs: it is the per-object conflict census of the Fig 6 limit study.
   bool to_pess_on_conflict(ObjectMeta& m, bool used_explicit) {
-    if (degraded()) return true;
-    if (cfg_.infinite_cutoff) return false;
+    if (degraded() && !cfg_.infinite_cutoff) return true;
     if (!used_explicit) return false;
     const ProfileWord p =
         m.profile().update([](ProfileWord w) { return w.with_opt_conflict_inc(); });
+    if (cfg_.infinite_cutoff) return false;
     if (p.must_stay_opt()) {
       // §6.2 alternative: a second (or later) trip is allowed at an
       // escalated cutoff, so only persistently conflicting objects re-pay

@@ -1,6 +1,9 @@
 // Hybrid tracking (paper §3, Table 3, Fig 10): objects move between
 // optimistic states (Octet-style, no sync on the fast path) and pessimistic
 // states (reader–writer locking of the state word) under an adaptive policy.
+// At an infinite cutoff (Fig 7) no object ever leaves the optimistic states,
+// which is exactly optimistic tracking (§2.2): OptimisticTracker is this
+// class so configured (DESIGN.md §2.1).
 //
 // Deferred unlocking (§3.1) is the load-bearing idea: a pessimistic state a
 // thread locks stays locked until the thread's next program-synchronization
@@ -22,8 +25,8 @@
 
 #include <atomic>
 
+#include "analysis/transition_model.hpp"
 #include "common/spin.hpp"
-
 #include "metadata/object_meta.hpp"
 #include "resilience/seizure.hpp"
 #include "tracking/adaptive_policy.hpp"
@@ -39,6 +42,11 @@ struct HybridConfig {
 
 template <bool kStats = false, typename Sink = NullSink>
 class HybridTracker {
+  using AK = analysis::AccessKind;
+  using Rel = analysis::ActorRel;
+  using Mech = analysis::Mechanism;
+  using Choice = analysis::PolicyChoice;
+
  public:
   static constexpr const char* kName = "hybrid";
   using Token = EmptyToken;
@@ -69,15 +77,7 @@ class HybridTracker {
   Token pre_store(ThreadContext& ctx, ObjectMeta& m) {
     const StateWord s = m.load_state();
     if (s.raw() == ctx.fast_wr_ex_opt) {  // Fig 10a
-      if constexpr (kStats) ++ctx.stats.opt_same;
-      HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                           .actor = ctx.id,
-                           .object = &m,
-                           .from = s,
-                           .to = s,
-                           .access = analysis::AccessKind::kWrite,
-                           .rel = analysis::ActorRel::kOwner,
-                           .mode = mode_});
+      observe(ctx, m, s, s, AK::kWrite, Rel::kOwner);
       return {};
     }
     store_slow(ctx, m);
@@ -87,65 +87,86 @@ class HybridTracker {
 
   // --- batched store (DESIGN.md §13) ---------------------------------------
   // Secures write ownership of every object in `objs` before the caller
-  // performs the stores. Conflicting optimistic objects are all moved to Int
-  // first, partitioned by their named owner, and each owner's group is
-  // settled by ONE coordinate_batch() round trip — that owner's one
-  // flush-and-bump covers its whole group, and each object records its edge
-  // at the shared post-bump counter. Everything else (same-state, upgrades,
-  // pessimistic/contended/RdSh states, CAS losses) takes the scalar
-  // pre_store retry loop after the groups have landed, so a leftover never
-  // spins on this thread's own Int.
+  // performs the stores, and returns with no safe point between the last
+  // check and the stores. Each pass claims without waiting: conflicting
+  // optimistic objects move to Int, partitioned by their named owner, and
+  // each owner's group is settled by ONE coordinate_batch() round trip —
+  // that owner's one flush-and-bump covers its whole group, and each object
+  // records its edge at the shared post-bump counter. While the round runs,
+  // the objects this thread already owns optimistically are held in
+  // Int(self) too, so answering other threads' requests cannot hand them
+  // away. Everything else (pessimistic/contended/RdSh states, others' Ints,
+  // CAS losses) takes the scalar pre_store path, one object per pass and
+  // with nothing held, so no Int is held while waiting on another Int. Any
+  // wait is a responding safe point that may lose an object already
+  // secured (or flush its write lock), so passes repeat until one finds
+  // every object write-owned (DESIGN.md §13.2).
   static constexpr std::size_t kMaxStoreBatch = 16;
   void pre_store_batch(ThreadContext& ctx, ObjectMeta* const* objs,
                        std::size_t n) {
     Runtime& rt = *runtime_;
+    const StateWord self_int = StateWord::intermediate(ctx.id);
+    const std::uint64_t wlocked = StateWord::wr_ex_wlock(ctx.id).raw();
     BatchConflict pend[kMaxStoreBatch];
-    bool scalar[kMaxStoreBatch];
-    std::size_t np = 0;
-    const std::size_t lim = n < kMaxStoreBatch ? n : kMaxStoreBatch;
-    for (std::size_t i = 0; i < lim; ++i) {
-      scalar[i] = false;
-      ObjectMeta& m = *objs[i];
-      const StateWord s = m.load_state();
-      if (s.raw() == ctx.fast_wr_ex_opt) {
-        if constexpr (kStats) ++ctx.stats.opt_same;
-        HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                             .actor = ctx.id,
-                             .object = &m,
-                             .from = s,
-                             .to = s,
-                             .access = analysis::AccessKind::kWrite,
-                             .rel = analysis::ActorRel::kOwner,
-                             .mode = mode_});
+    ObjectMeta* held[kMaxStoreBatch];
+    Backoff backoff;
+    bool observed = false;  // same-state stores count once, on the first pass
+    for (;;) {
+      // Another thread's claim in progress is waited out first, holding
+      // nothing, so two batches do not split a group and steal it back and
+      // forth.
+      std::size_t busy = 0;
+      StateWord bs;
+      for (; busy < n; ++busy) {
+        bs = objs[busy]->load_state();
+        if (bs.is_intermediate() && bs.tid() != ctx.id) break;
+      }
+      if (busy != n) {
+        wait_on_int(ctx, *objs[busy], bs, AK::kWrite, backoff);
         continue;
       }
-      // Batchable: an optimistic conflict with a named owner. (RdSh
-      // conflicts coordinate with *all* others and stay scalar; a duplicate
-      // of a group member reads our own Int here and stays scalar,
-      // resolving after the groups land.)
-      const bool opt_conflict = (s.kind() == StateKind::kWrExOpt ||
-                                 s.kind() == StateKind::kRdExOpt) &&
-                                s.tid() != ctx.id;
-      if (!opt_conflict) {
-        scalar[i] = true;
-        continue;
+      std::size_t np = 0;
+      std::size_t nh = 0;
+      ObjectMeta* scalar = nullptr;
+      for (std::size_t i = 0; i < n; ++i) {
+        ObjectMeta& m = *objs[i];
+        const StateWord s = m.load_state();
+        if (s.raw() == ctx.fast_wr_ex_opt) {
+          if (!observed) observe(ctx, m, s, s, AK::kWrite, Rel::kOwner);
+          if (nh < kMaxStoreBatch) held[nh++] = &m;
+          continue;
+        }
+        if (s.raw() == wlocked) {
+          // Reentrant: observed (no wait) on the first pass only.
+          if (!observed) pre_store(ctx, m);
+          continue;
+        }
+        if (s.raw() == self_int.raw()) continue;  // duplicate, claimed above
+        // Batchable: an optimistic conflict with a named owner. (RdSh
+        // conflicts coordinate with *all* others and stay scalar.)
+        const bool opt_conflict = (s.kind() == StateKind::kWrExOpt ||
+                                   s.kind() == StateKind::kRdExOpt) &&
+                                  s.tid() != ctx.id;
+        if (opt_conflict && np < kMaxStoreBatch) {
+          rt.check_self_quarantine(ctx);
+          StateWord expected = s;
+          if (m.cas_state(expected, self_int)) {
+            HT_TELEM_TRANSITION(ctx, &m, s, self_int);
+            pend[np++] = BatchConflict{&m, s};
+            continue;
+          }
+        }
+        if (scalar == nullptr) scalar = &m;
       }
-      rt.check_self_quarantine(ctx);
-      StateWord expected = s;
-      if (!m.cas_state(expected, StateWord::intermediate(ctx.id))) {
-        scalar[i] = true;  // raced: let the retry loop reclassify
-        continue;
+      observed = true;
+      if (np != 0) {
+        settle_store_batch(ctx, pend, np, held, nh);
+      } else if (scalar != nullptr) {
+        pre_store(ctx, *scalar);
+      } else {
+        return;  // every object write-owned, and no wait since the pass
       }
-      HT_TELEM_TRANSITION(ctx, &m, s, StateWord::intermediate(ctx.id));
-      pend[np++] = BatchConflict{&m, s};
     }
-
-    if (np != 0) settle_store_batch(ctx, pend, np);
-
-    for (std::size_t i = 0; i < lim; ++i) {
-      if (scalar[i]) pre_store(ctx, *objs[i]);
-    }
-    for (std::size_t i = lim; i < n; ++i) pre_store(ctx, *objs[i]);
   }
 
   // --- load ---------------------------------------------------------------
@@ -153,15 +174,7 @@ class HybridTracker {
     const StateWord s = m.load_state();
     if (s.raw() == ctx.fast_wr_ex_opt || s.raw() == ctx.fast_rd_ex_opt ||
         (s.kind() == StateKind::kRdShOpt && ctx.rd_sh_count >= s.counter())) {
-      if constexpr (kStats) ++ctx.stats.opt_same;
-      HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                           .actor = ctx.id,
-                           .object = &m,
-                           .from = s,
-                           .to = s,
-                           .access = analysis::AccessKind::kRead,
-                           .rel = analysis::ActorRel::kOwner,
-                           .mode = mode_});
+      observe(ctx, m, s, s, AK::kRead, Rel::kOwner);
       return {};
     }
     load_slow(ctx, m);
@@ -187,6 +200,72 @@ class HybridTracker {
   Runtime& runtime() { return *runtime_; }
 
  private:
+  // At an infinite cutoff nothing goes pessimistic: not a conflict landing,
+  // not a degraded governor (AdaptivePolicy), not a seized Int.
+  bool optimistic_only() const { return policy_.config().infinite_cutoff; }
+
+  // One observation per transition: the Table 1 counter of an optimistic
+  // same-state, upgrading or fence row (pessimistic rows count in
+  // finish_pess, conflicting rows in land_conflict), the telemetry event (a
+  // coordinated transition installs `to` from the actor's own Int), and the
+  // conformance check against the family this instance implements — the
+  // stricter optimistic relation at an infinite cutoff. Default builds keep
+  // only the counter.
+  void observe([[maybe_unused]] ThreadContext& ctx,
+               [[maybe_unused]] ObjectMeta& m, [[maybe_unused]] StateWord from,
+               [[maybe_unused]] StateWord to, [[maybe_unused]] AK access,
+               [[maybe_unused]] Rel rel,
+               [[maybe_unused]] Mech taken = Mech::kFastPath,
+               [[maybe_unused]] Choice policy = Choice::kOpt,
+               [[maybe_unused]] bool sole_holder = false) {
+    if constexpr (kStats) {
+      if (from.is_optimistic()) {
+        if (taken == Mech::kFastPath) ++ctx.stats.opt_same;
+        if (taken == Mech::kCas) ++ctx.stats.opt_upgrading;
+        if (taken == Mech::kFence) ++ctx.stats.opt_fence;
+      }
+    }
+    HT_TELEM_TRANSITION(
+        ctx, &m,
+        taken == Mech::kCoordination ? StateWord::intermediate(ctx.id) : from,
+        to);
+    HT_CHECK_TRANSITION({.family = family(),
+                         .actor = ctx.id,
+                         .object = &m,
+                         .from = from,
+                         .to = to,
+                         .access = access,
+                         .rel = rel,
+                         .sole_holder = sole_holder,
+                         .policy = policy,
+                         .mode = mode_,
+                         .taken = taken,
+                         .in_lock_buffer = analysis::lb_member(ctx, &m),
+                         .in_rd_set = analysis::rs_member(ctx, &m)});
+  }
+
+  // The wait-and-retry counterpart of observe: the model must call the key
+  // contended.
+  void observe_wait([[maybe_unused]] ThreadContext& ctx,
+                    [[maybe_unused]] ObjectMeta& m,
+                    [[maybe_unused]] StateWord s, [[maybe_unused]] AK access,
+                    [[maybe_unused]] Rel rel = Rel::kOther,
+                    [[maybe_unused]] bool sole_holder = false) {
+    HT_CHECK_CONTENDED({.family = family(),
+                        .actor = ctx.id,
+                        .object = &m,
+                        .from = s,
+                        .access = access,
+                        .rel = rel,
+                        .sole_holder = sole_holder,
+                        .mode = mode_});
+  }
+
+  analysis::TrackerFamily family() const {
+    return optimistic_only() ? analysis::TrackerFamily::kOptimistic
+                             : analysis::TrackerFamily::kHybrid;
+  }
+
   // Unlocks one lock-buffer entry (Table 3 "Pessimistic unlock / Pess->Opt"
   // rows). Exclusive write locks cannot change under us, but read-locked
   // states can be joined by concurrent readers (RdExRLock -> RdShRLock(2)),
@@ -211,89 +290,31 @@ class HybridTracker {
         return;
       }
       switch (s.kind()) {
-        case StateKind::kWrExWLock: {
-          // Sole owner of a write lock — but the unlock still CASes rather
-          // than blind-stores: a quarantined-but-not-yet-parked thread
-          // flushing here must lose cleanly to a concurrent seizure instead
-          // of clobbering the seized state (conceptually the transition is
-          // still the owner's sole-owner store, so the observation keeps
-          // Mechanism::kStore).
-          const bool to_opt = policy_.should_go_opt(m);
-          const StateWord next = to_opt ? StateWord::wr_ex_opt(ctx.id)
-                                        : StateWord::wr_ex_pess(ctx.id);
-          StateWord expected = s;
-          if (!m.cas_state(expected, next)) break;  // seized: reload
-          HT_TELEM_TRANSITION(ctx, &m, s, next);
-          HT_CHECK_TRANSITION(
-              {.family = analysis::TrackerFamily::kHybrid,
-               .actor = ctx.id,
-               .object = &m,
-               .from = s,
-               .to = next,
-               .access = analysis::AccessKind::kUnlock,
-               .rel = analysis::ActorRel::kOwner,
-               .policy = to_opt ? analysis::PolicyChoice::kOpt
-                                : analysis::PolicyChoice::kPess,
-               .mode = mode_,
-               .taken = analysis::Mechanism::kStore,
-               .in_lock_buffer = analysis::lb_member(ctx, &m),
-               .in_rd_set = analysis::rs_member(ctx, &m)});
-          commit_unlock(ctx, m, to_opt);
-          return;
-        }
-        case StateKind::kWrExRLock: {
-          HT_DASSERT(s.tid() == ctx.id, "flushing a lock we do not hold");
-          const bool to_opt = policy_.should_go_opt(m);
-          const StateWord next = to_opt ? StateWord::wr_ex_opt(ctx.id)
-                                        : StateWord::wr_ex_pess(ctx.id);
-          StateWord expected = s;
-          if (m.cas_state(expected, next)) {
-            HT_TELEM_TRANSITION(ctx, &m, s, next);
-            HT_CHECK_TRANSITION(
-                {.family = analysis::TrackerFamily::kHybrid,
-                 .actor = ctx.id,
-                 .object = &m,
-                 .from = s,
-                 .to = next,
-                 .access = analysis::AccessKind::kUnlock,
-                 .rel = analysis::ActorRel::kOwner,
-                 .policy = to_opt ? analysis::PolicyChoice::kOpt
-                                  : analysis::PolicyChoice::kPess,
-                 .mode = mode_,
-                 .taken = analysis::Mechanism::kCas,
-                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                 .in_rd_set = analysis::rs_member(ctx, &m)});
-            commit_unlock(ctx, m, to_opt);
-            return;
-          }
-          break;  // a reader joined: state became RdShRLock
-        }
+        case StateKind::kWrExWLock:
+        case StateKind::kWrExRLock:
         case StateKind::kRdExRLock: {
           HT_DASSERT(s.tid() == ctx.id, "flushing a lock we do not hold");
           const bool to_opt = policy_.should_go_opt(m);
-          const StateWord next = to_opt ? StateWord::rd_ex_opt(ctx.id)
-                                        : StateWord::rd_ex_pess(ctx.id);
+          const bool wr = s.kind() != StateKind::kRdExRLock;
+          const StateWord next =
+              wr ? (to_opt ? StateWord::wr_ex_opt(ctx.id)
+                           : StateWord::wr_ex_pess(ctx.id))
+                 : (to_opt ? StateWord::rd_ex_opt(ctx.id)
+                           : StateWord::rd_ex_pess(ctx.id));
+          // Even the sole owner of a write lock CASes rather than
+          // blind-stores: a quarantined-but-not-yet-parked thread flushing
+          // here must lose cleanly to a concurrent seizure instead of
+          // clobbering the seized state (conceptually the transition is
+          // still the owner's sole-owner store, so the observation keeps
+          // Mechanism::kStore). A failed read-lock CAS means a reader
+          // joined: the state became RdShRLock.
           StateWord expected = s;
-          if (m.cas_state(expected, next)) {
-            HT_TELEM_TRANSITION(ctx, &m, s, next);
-            HT_CHECK_TRANSITION(
-                {.family = analysis::TrackerFamily::kHybrid,
-                 .actor = ctx.id,
-                 .object = &m,
-                 .from = s,
-                 .to = next,
-                 .access = analysis::AccessKind::kUnlock,
-                 .rel = analysis::ActorRel::kOwner,
-                 .policy = to_opt ? analysis::PolicyChoice::kOpt
-                                  : analysis::PolicyChoice::kPess,
-                 .mode = mode_,
-                 .taken = analysis::Mechanism::kCas,
-                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                 .in_rd_set = analysis::rs_member(ctx, &m)});
-            commit_unlock(ctx, m, to_opt);
-            return;
-          }
-          break;
+          if (!m.cas_state(expected, next)) break;
+          observe(ctx, m, s, next, AK::kUnlock, Rel::kOwner,
+                  s.kind() == StateKind::kWrExWLock ? Mech::kStore : Mech::kCas,
+                  to_opt ? Choice::kOpt : Choice::kPess);
+          commit_unlock(ctx, m, to_opt);
+          return;
         }
         case StateKind::kRdShRLock: {
           const std::uint32_t n = s.rdlock_count();
@@ -309,22 +330,8 @@ class HybridTracker {
           }
           StateWord expected = s;
           if (m.cas_state(expected, next)) {
-            HT_TELEM_TRANSITION(ctx, &m, s, next);
-            HT_CHECK_TRANSITION(
-                {.family = analysis::TrackerFamily::kHybrid,
-                 .actor = ctx.id,
-                 .object = &m,
-                 .from = s,
-                 .to = next,
-                 .access = analysis::AccessKind::kUnlock,
-                 .rel = analysis::ActorRel::kOwner,
-                 .sole_holder = n == 1,
-                 .policy = to_opt ? analysis::PolicyChoice::kOpt
-                                  : analysis::PolicyChoice::kPess,
-                 .mode = mode_,
-                 .taken = analysis::Mechanism::kCas,
-                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                 .in_rd_set = analysis::rs_member(ctx, &m)});
+            observe(ctx, m, s, next, AK::kUnlock, Rel::kOwner, Mech::kCas,
+                    to_opt ? Choice::kOpt : Choice::kPess, n == 1);
             if (n == 1) commit_unlock(ctx, m, to_opt);
             return;
           }
@@ -344,18 +351,29 @@ class HybridTracker {
   bool seize_if_quarantined(ThreadContext& ctx, ObjectMeta& m, StateWord s) {
     Runtime& rt = *runtime_;
     if (!rt.has_quarantined() || !rt.thread_quarantined(s.tid())) return false;
-    resilience::seize_object(ctx, m, s.tid());
+    resilience::seize_object(ctx, m, s.tid(),
+                             /*land_pessimistic=*/!optimistic_only());
     return true;
+  }
+
+  // Int held by another coordinator: wait at a safe point (Fig 1 line 18),
+  // ceding the CPU — the holder keeps the Int across a whole coordination
+  // round trip, and on oversubscribed cores a pure spin burns the
+  // scheduling quantum that holder (or the owner draining a batch mailbox)
+  // needs. An Int abandoned by a quarantined thread is seized instead.
+  void wait_on_int(ThreadContext& ctx, ObjectMeta& m, StateWord s, AK access,
+                   Backoff& backoff) {
+    observe_wait(ctx, m, s, access);
+    if (seize_if_quarantined(ctx, m, s)) return;
+    runtime_->fault_point_slow_path(ctx);
+    runtime_->respond_while_waiting(ctx);
+    if (!schedule::virtualized()) backoff.pause();
   }
 
   // ==== store slow path (Fig 10b generalized to all Table 3 rows) ==========
   void store_slow(ThreadContext& ctx, ObjectMeta& m) {
     Runtime& rt = *runtime_;
     bool contended = false;
-    // Int waits must cede the CPU (same idiom as the pessimistic contended
-    // lock): the holder keeps the Int across a whole coordination round
-    // trip, and on oversubscribed cores a pure spin burns the scheduling
-    // quantum that holder — or the owner draining a batch mailbox — needs.
     Backoff backoff;
     for (;;) {
       // Quarantined victims must not lock or Int fresh states after the
@@ -366,15 +384,7 @@ class HybridTracker {
         // ---- optimistic ----------------------------------------------------
         case StateKind::kWrExOpt:
           if (s.tid() == ctx.id) {
-            if constexpr (kStats) ++ctx.stats.opt_same;
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kWrite,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .mode = mode_});
+            observe(ctx, m, s, s, AK::kWrite, Rel::kOwner);
             return;
           }
           if (opt_conflicting(ctx, m, s, /*is_store=*/true)) return;
@@ -383,17 +393,8 @@ class HybridTracker {
           if (s.tid() == ctx.id) {
             StateWord expected = s;
             if (m.cas_state(expected, StateWord::wr_ex_opt(ctx.id))) {
-              if constexpr (kStats) ++ctx.stats.opt_upgrading;
-              HT_TELEM_TRANSITION(ctx, &m, s, StateWord::wr_ex_opt(ctx.id));
-              HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                   .actor = ctx.id,
-                                   .object = &m,
-                                   .from = s,
-                                   .to = StateWord::wr_ex_opt(ctx.id),
-                                   .access = analysis::AccessKind::kWrite,
-                                   .rel = analysis::ActorRel::kOwner,
-                                   .mode = mode_,
-                                   .taken = analysis::Mechanism::kCas});
+              observe(ctx, m, s, StateWord::wr_ex_opt(ctx.id), AK::kWrite,
+                      Rel::kOwner, Mech::kCas);
               return;
             }
             break;
@@ -404,61 +405,25 @@ class HybridTracker {
           if (opt_conflicting(ctx, m, s, /*is_store=*/true)) return;
           break;
         case StateKind::kInt:
-          HT_CHECK_CONTENDED({.family = analysis::TrackerFamily::kHybrid,
-                              .actor = ctx.id,
-                              .object = &m,
-                              .from = s,
-                              .access = analysis::AccessKind::kWrite,
-                              .rel = analysis::ActorRel::kOther,
-                              .mode = mode_});
-          if (seize_if_quarantined(ctx, m, s)) break;
-          rt.fault_point_slow_path(ctx);
-          rt.respond_while_waiting(ctx);
-          if (!schedule::virtualized()) backoff.pause();
+          wait_on_int(ctx, m, s, AK::kWrite, backoff);
           break;
 
         // ---- pessimistic unlocked: uncontended lock acquisition -------------
         case StateKind::kWrExPess:
-        case StateKind::kRdExPess: {
-          const bool confl = s.tid() != ctx.id;
-          StateWord expected = s;
-          if (m.cas_state(expected, StateWord::wr_ex_wlock(ctx.id))) {
-            ctx.lock_buffer.push_back(&m);
-            HT_TELEM_TRANSITION(ctx, &m, s, StateWord::wr_ex_wlock(ctx.id));
-            finish_pess(ctx, m, confl, /*reentrant=*/false, contended);
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = StateWord::wr_ex_wlock(ctx.id),
-                                 .access = analysis::AccessKind::kWrite,
-                                 .rel = confl ? analysis::ActorRel::kOther
-                                              : analysis::ActorRel::kOwner,
-                                 .mode = mode_,
-                                 .taken = analysis::Mechanism::kCas,
-                                 .in_lock_buffer = analysis::lb_member(ctx, &m)});
-            if (confl) record_owner_edge(ctx, s.tid());
-            return;
-          }
-          break;
-        }
+        case StateKind::kRdExPess:
         case StateKind::kRdShPess: {
+          const bool confl = s.is_rd_sh() || s.tid() != ctx.id;
           StateWord expected = s;
           if (m.cas_state(expected, StateWord::wr_ex_wlock(ctx.id))) {
             ctx.lock_buffer.push_back(&m);
-            HT_TELEM_TRANSITION(ctx, &m, s, StateWord::wr_ex_wlock(ctx.id));
-            finish_pess(ctx, m, /*confl=*/true, /*reentrant=*/false, contended);
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = StateWord::wr_ex_wlock(ctx.id),
-                                 .access = analysis::AccessKind::kWrite,
-                                 .rel = analysis::ActorRel::kOther,
-                                 .mode = mode_,
-                                 .taken = analysis::Mechanism::kCas,
-                                 .in_lock_buffer = analysis::lb_member(ctx, &m)});
-            record_all_edges(ctx);
+            observe(ctx, m, s, StateWord::wr_ex_wlock(ctx.id), AK::kWrite,
+                    confl ? Rel::kOther : Rel::kOwner, Mech::kCas);
+            finish_pess(ctx, m, confl, /*reentrant=*/false, contended);
+            if (s.is_rd_sh()) {
+              record_all_edges(ctx);
+            } else if (confl) {
+              record_owner_edge(ctx, s.tid());
+            }
             return;
           }
           break;
@@ -467,25 +432,11 @@ class HybridTracker {
         // ---- pessimistic locked ---------------------------------------------
         case StateKind::kWrExWLock:
           if (s.tid() == ctx.id) {  // reentrant (Table 3 row 1)
+            observe(ctx, m, s, s, AK::kWrite, Rel::kOwner);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kWrite,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .mode = mode_,
-                                 .in_lock_buffer = analysis::lb_member(ctx, &m)});
             return;
           }
-          HT_CHECK_CONTENDED({.family = analysis::TrackerFamily::kHybrid,
-                              .actor = ctx.id,
-                              .object = &m,
-                              .from = s,
-                              .access = analysis::AccessKind::kWrite,
-                              .rel = analysis::ActorRel::kOther,
-                              .mode = mode_});
+          observe_wait(ctx, m, s, AK::kWrite);
           if (seize_if_quarantined(ctx, m, s)) break;
           pess_contended(ctx, m, s, contended);
           break;
@@ -495,31 +446,15 @@ class HybridTracker {
             StateWord expected = s;
             if (m.cas_state(expected, StateWord::wr_ex_wlock(ctx.id))) {
               // Already in the lock buffer from the read-lock acquisition.
-              HT_TELEM_TRANSITION(ctx, &m, s, StateWord::wr_ex_wlock(ctx.id));
-              finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/false, contended);
-              HT_CHECK_TRANSITION(
-                  {.family = analysis::TrackerFamily::kHybrid,
-                   .actor = ctx.id,
-                   .object = &m,
-                   .from = s,
-                   .to = StateWord::wr_ex_wlock(ctx.id),
-                   .access = analysis::AccessKind::kWrite,
-                   .rel = analysis::ActorRel::kOwner,
-                   .mode = mode_,
-                   .taken = analysis::Mechanism::kCas,
-                   .in_lock_buffer = analysis::lb_member(ctx, &m),
-                   .in_rd_set = analysis::rs_member(ctx, &m)});
+              observe(ctx, m, s, StateWord::wr_ex_wlock(ctx.id), AK::kWrite,
+                      Rel::kOwner, Mech::kCas);
+              finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/false,
+                          contended);
               return;
             }
             break;
           }
-          HT_CHECK_CONTENDED({.family = analysis::TrackerFamily::kHybrid,
-                              .actor = ctx.id,
-                              .object = &m,
-                              .from = s,
-                              .access = analysis::AccessKind::kWrite,
-                              .rel = analysis::ActorRel::kOther,
-                              .mode = mode_});
+          observe_wait(ctx, m, s, AK::kWrite);
           if (seize_if_quarantined(ctx, m, s)) break;
           pess_contended(ctx, m, s, contended);
           break;
@@ -529,36 +464,19 @@ class HybridTracker {
             // than deadlocking against our own lock.
             StateWord expected = s;
             if (m.cas_state(expected, StateWord::wr_ex_wlock(ctx.id))) {
-              HT_TELEM_TRANSITION(ctx, &m, s, StateWord::wr_ex_wlock(ctx.id));
-              finish_pess(ctx, m, /*confl=*/true, /*reentrant=*/false, contended);
-              HT_CHECK_TRANSITION(
-                  {.family = analysis::TrackerFamily::kHybrid,
-                   .actor = ctx.id,
-                   .object = &m,
-                   .from = s,
-                   .to = StateWord::wr_ex_wlock(ctx.id),
-                   .access = analysis::AccessKind::kWrite,
-                   .rel = analysis::ActorRel::kOwner,
-                   .sole_holder = true,
-                   .mode = mode_,
-                   .taken = analysis::Mechanism::kCas,
-                   .in_lock_buffer = analysis::lb_member(ctx, &m),
-                   .in_rd_set = analysis::rs_member(ctx, &m)});
+              observe(ctx, m, s, StateWord::wr_ex_wlock(ctx.id), AK::kWrite,
+                      Rel::kOwner, Mech::kCas, Choice::kOpt,
+                      /*sole_holder=*/true);
+              finish_pess(ctx, m, /*confl=*/true, /*reentrant=*/false,
+                          contended);
               record_all_edges(ctx);
               return;
             }
             break;
           }
-          HT_CHECK_CONTENDED({.family = analysis::TrackerFamily::kHybrid,
-                              .actor = ctx.id,
-                              .object = &m,
-                              .from = s,
-                              .access = analysis::AccessKind::kWrite,
-                              .rel = ctx.rd_set.contains(&m)
-                                         ? analysis::ActorRel::kOwner
-                                         : analysis::ActorRel::kOther,
-                              .sole_holder = s.rdlock_count() == 1,
-                              .mode = mode_});
+          observe_wait(ctx, m, s, AK::kWrite,
+                       ctx.rd_set.contains(&m) ? Rel::kOwner : Rel::kOther,
+                       s.rdlock_count() == 1);
           pess_contended(ctx, m, s, contended);
           // Share-lock holders are anonymous (footnote 4), so a quarantined
           // holder cannot be seized eagerly — but it also never decrements
@@ -592,7 +510,7 @@ class HybridTracker {
   void load_slow(ThreadContext& ctx, ObjectMeta& m) {
     Runtime& rt = *runtime_;
     bool contended = false;
-    Backoff backoff;  // Int waits cede the CPU (see store_slow)
+    Backoff backoff;
     for (;;) {
       rt.check_self_quarantine(ctx);
       StateWord s = m.load_state();
@@ -600,30 +518,14 @@ class HybridTracker {
         // ---- optimistic ----------------------------------------------------
         case StateKind::kWrExOpt:
           if (s.tid() == ctx.id) {
-            if constexpr (kStats) ++ctx.stats.opt_same;
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kRead,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .mode = mode_});
+            observe(ctx, m, s, s, AK::kRead, Rel::kOwner);
             return;
           }
           if (opt_conflicting(ctx, m, s, /*is_store=*/false)) return;
           break;
         case StateKind::kRdExOpt: {
           if (s.tid() == ctx.id) {
-            if constexpr (kStats) ++ctx.stats.opt_same;
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kRead,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .mode = mode_});
+            observe(ctx, m, s, s, AK::kRead, Rel::kOwner);
             return;
           }
           // Upgrading: RdEx_T1 read by T2 -> RdShOpt with a fresh counter.
@@ -632,60 +534,25 @@ class HybridTracker {
           if (m.cas_state(expected, StateWord::rd_sh_opt(c))) {
             if (ctx.rd_sh_count < c) ctx.rd_sh_count = c;
             record_all_edges(ctx);
-            if constexpr (kStats) ++ctx.stats.opt_upgrading;
-            HT_TELEM_TRANSITION(ctx, &m, s, StateWord::rd_sh_opt(c));
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = StateWord::rd_sh_opt(c),
-                                 .access = analysis::AccessKind::kRead,
-                                 .rel = analysis::ActorRel::kOther,
-                                 .mode = mode_,
-                                 .taken = analysis::Mechanism::kCas});
+            observe(ctx, m, s, StateWord::rd_sh_opt(c), AK::kRead, Rel::kOther,
+                    Mech::kCas);
             return;
           }
           break;
         }
         case StateKind::kRdShOpt:
           if (ctx.rd_sh_count >= s.counter()) {
-            if constexpr (kStats) ++ctx.stats.opt_same;
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kRead,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .mode = mode_});
+            observe(ctx, m, s, s, AK::kRead, Rel::kOwner);
             return;
           }
+          // Fence transition (Table 1): first read of this RdSh epoch by T.
           std::atomic_thread_fence(std::memory_order_seq_cst);
           ctx.rd_sh_count = s.counter();
           record_all_edges(ctx);
-          if constexpr (kStats) ++ctx.stats.opt_fence;
-          HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                               .actor = ctx.id,
-                               .object = &m,
-                               .from = s,
-                               .to = s,
-                               .access = analysis::AccessKind::kRead,
-                               .rel = analysis::ActorRel::kOther,
-                               .mode = mode_,
-                               .taken = analysis::Mechanism::kFence});
+          observe(ctx, m, s, s, AK::kRead, Rel::kOther, Mech::kFence);
           return;
         case StateKind::kInt:
-          HT_CHECK_CONTENDED({.family = analysis::TrackerFamily::kHybrid,
-                              .actor = ctx.id,
-                              .object = &m,
-                              .from = s,
-                              .access = analysis::AccessKind::kRead,
-                              .rel = analysis::ActorRel::kOther,
-                              .mode = mode_});
-          if (seize_if_quarantined(ctx, m, s)) break;
-          rt.fault_point_slow_path(ctx);
-          rt.respond_while_waiting(ctx);
-          if (!schedule::virtualized()) backoff.pause();
+          wait_on_int(ctx, m, s, AK::kRead, backoff);
           break;
 
         // ---- pessimistic unlocked -------------------------------------------
@@ -712,43 +579,16 @@ class HybridTracker {
             if (m.cas_state(expected, next)) {
               ctx.lock_buffer.push_back(&m);
               if (read_lock) ctx.rd_set.insert(&m);
-              HT_TELEM_TRANSITION(ctx, &m, s, next);
-              finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/false, contended);
-              HT_CHECK_TRANSITION(
-                  {.family = analysis::TrackerFamily::kHybrid,
-                   .actor = ctx.id,
-                   .object = &m,
-                   .from = s,
-                   .to = next,
-                   .access = analysis::AccessKind::kRead,
-                   .rel = analysis::ActorRel::kOwner,
-                   .mode = mode_,
-                   .taken = analysis::Mechanism::kCas,
-                   .in_lock_buffer = analysis::lb_member(ctx, &m),
-                   .in_rd_set = analysis::rs_member(ctx, &m)});
+              observe(ctx, m, s, next, AK::kRead, Rel::kOwner, Mech::kCas);
+              finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/false,
+                          contended);
               return;
             }
             break;
           }
           // Cross-thread read of WrExPess_T1 -> RdExRLock_T2 (Table 3).
-          StateWord expected = s;
-          if (m.cas_state(expected, StateWord::rd_ex_rlock(ctx.id))) {
-            ctx.lock_buffer.push_back(&m);
-            ctx.rd_set.insert(&m);
-            HT_TELEM_TRANSITION(ctx, &m, s, StateWord::rd_ex_rlock(ctx.id));
-            finish_pess(ctx, m, /*confl=*/true, /*reentrant=*/false, contended);
-            HT_CHECK_TRANSITION(
-                {.family = analysis::TrackerFamily::kHybrid,
-                 .actor = ctx.id,
-                 .object = &m,
-                 .from = s,
-                 .to = StateWord::rd_ex_rlock(ctx.id),
-                 .access = analysis::AccessKind::kRead,
-                 .rel = analysis::ActorRel::kOther,
-                 .mode = mode_,
-                 .taken = analysis::Mechanism::kCas,
-                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                 .in_rd_set = analysis::rs_member(ctx, &m)});
+          if (read_lock_from(ctx, m, s, StateWord::rd_ex_rlock(ctx.id),
+                             Rel::kOther, /*confl=*/true, contended)) {
             record_owner_edge(ctx, s.tid());
             return;
           }
@@ -756,188 +596,68 @@ class HybridTracker {
         }
         case StateKind::kRdExPess: {
           if (s.tid() == ctx.id) {
-            StateWord expected = s;
-            if (m.cas_state(expected, StateWord::rd_ex_rlock(ctx.id))) {
-              ctx.lock_buffer.push_back(&m);
-              ctx.rd_set.insert(&m);
-              HT_TELEM_TRANSITION(ctx, &m, s, StateWord::rd_ex_rlock(ctx.id));
-              finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/false, contended);
-              HT_CHECK_TRANSITION(
-                  {.family = analysis::TrackerFamily::kHybrid,
-                   .actor = ctx.id,
-                   .object = &m,
-                   .from = s,
-                   .to = StateWord::rd_ex_rlock(ctx.id),
-                   .access = analysis::AccessKind::kRead,
-                   .rel = analysis::ActorRel::kOwner,
-                   .mode = mode_,
-                   .taken = analysis::Mechanism::kCas,
-                   .in_lock_buffer = analysis::lb_member(ctx, &m),
-                   .in_rd_set = analysis::rs_member(ctx, &m)});
+            if (read_lock_from(ctx, m, s, StateWord::rd_ex_rlock(ctx.id),
+                               Rel::kOwner, /*confl=*/false, contended))
               return;
-            }
             break;
           }
           // RdExPess_T1 read by T2 -> RdShRLock(1) with a fresh counter.
           const std::uint32_t c = rt.next_rd_sh_counter();
-          StateWord expected = s;
-          if (m.cas_state(expected, StateWord::rd_sh_rlock(c, 1))) {
-            if (ctx.rd_sh_count < c) ctx.rd_sh_count = c;
-            ctx.lock_buffer.push_back(&m);
-            ctx.rd_set.insert(&m);
-            HT_TELEM_TRANSITION(ctx, &m, s, StateWord::rd_sh_rlock(c, 1));
-            finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/false, contended);
-            HT_CHECK_TRANSITION(
-                {.family = analysis::TrackerFamily::kHybrid,
-                 .actor = ctx.id,
-                 .object = &m,
-                 .from = s,
-                 .to = StateWord::rd_sh_rlock(c, 1),
-                 .access = analysis::AccessKind::kRead,
-                 .rel = analysis::ActorRel::kOther,
-                 .mode = mode_,
-                 .taken = analysis::Mechanism::kCas,
-                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                 .in_rd_set = analysis::rs_member(ctx, &m)});
+          if (read_lock_from(ctx, m, s, StateWord::rd_sh_rlock(c, 1),
+                             Rel::kOther, /*confl=*/false, contended)) {
             record_owner_edge(ctx, s.tid());
             return;
           }
           break;
         }
-        case StateKind::kRdShPess: {
-          StateWord expected = s;
-          if (m.cas_state(expected,
-                          StateWord::rd_sh_rlock(s.counter(), 1))) {
-            if (ctx.rd_sh_count < s.counter()) ctx.rd_sh_count = s.counter();
-            ctx.lock_buffer.push_back(&m);
-            ctx.rd_set.insert(&m);
-            HT_TELEM_TRANSITION(ctx, &m, s,
-                                StateWord::rd_sh_rlock(s.counter(), 1));
-            finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/false, contended);
-            HT_CHECK_TRANSITION(
-                {.family = analysis::TrackerFamily::kHybrid,
-                 .actor = ctx.id,
-                 .object = &m,
-                 .from = s,
-                 .to = StateWord::rd_sh_rlock(s.counter(), 1),
-                 .access = analysis::AccessKind::kRead,
-                 .rel = analysis::ActorRel::kOther,
-                 .mode = mode_,
-                 .taken = analysis::Mechanism::kCas,
-                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                 .in_rd_set = analysis::rs_member(ctx, &m)});
+        case StateKind::kRdShPess:
+          if (read_lock_from(ctx, m, s,
+                             StateWord::rd_sh_rlock(s.counter(), 1),
+                             Rel::kOther, /*confl=*/false, contended)) {
             record_all_edges(ctx);
             return;
           }
           break;
-        }
 
         // ---- pessimistic locked ----------------------------------------------
         case StateKind::kWrExWLock:
           if (s.tid() == ctx.id) {  // reentrant
+            observe(ctx, m, s, s, AK::kRead, Rel::kOwner);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kRead,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .mode = mode_,
-                                 .in_lock_buffer = analysis::lb_member(ctx, &m)});
             return;
           }
-          HT_CHECK_CONTENDED({.family = analysis::TrackerFamily::kHybrid,
-                              .actor = ctx.id,
-                              .object = &m,
-                              .from = s,
-                              .access = analysis::AccessKind::kRead,
-                              .rel = analysis::ActorRel::kOther,
-                              .mode = mode_});
+          observe_wait(ctx, m, s, AK::kRead);
           if (seize_if_quarantined(ctx, m, s)) break;
           pess_contended(ctx, m, s, contended);
           break;
         case StateKind::kWrExRLock:
-          if (s.tid() == ctx.id) {  // reentrant (own read lock)
-            finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kRead,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .mode = mode_,
-                                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                                 .in_rd_set = analysis::rs_member(ctx, &m)});
-            return;
-          }
-          // Second concurrent reader: WrExRLock_T1 -> RdShRLock(2).
-          // Seize first if the holder is quarantined — joining would count a
-          // dead thread as a share holder that never decrements.
-          if (seize_if_quarantined(ctx, m, s)) break;
-          if (join_read_share(ctx, m, s, /*initial_holders=*/2,
-                              /*confl=*/true, contended))
-            return;
-          break;
         case StateKind::kRdExRLock:
-          if (s.tid() == ctx.id) {  // reentrant
+          if (s.tid() == ctx.id) {  // reentrant (own read lock)
+            observe(ctx, m, s, s, AK::kRead, Rel::kOwner);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kRead,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .mode = mode_,
-                                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                                 .in_rd_set = analysis::rs_member(ctx, &m)});
             return;
           }
+          // Second concurrent reader: -> RdShRLock(2). Seize first if the
+          // holder is quarantined — joining would count a dead thread as a
+          // share holder that never decrements.
           if (seize_if_quarantined(ctx, m, s)) break;
           if (join_read_share(ctx, m, s, /*initial_holders=*/2,
-                              /*confl=*/false, contended))
+                              /*confl=*/s.kind() == StateKind::kWrExRLock,
+                              contended))
             return;
           break;
         case StateKind::kRdShRLock: {
           if (ctx.rd_set.contains(&m)) {  // reentrant
+            observe(ctx, m, s, s, AK::kRead, Rel::kOwner, Mech::kFastPath,
+                    Choice::kOpt, s.rdlock_count() == 1);
             finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/true);
-            HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                                 .actor = ctx.id,
-                                 .object = &m,
-                                 .from = s,
-                                 .to = s,
-                                 .access = analysis::AccessKind::kRead,
-                                 .rel = analysis::ActorRel::kOwner,
-                                 .sole_holder = s.rdlock_count() == 1,
-                                 .mode = mode_,
-                                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                                 .in_rd_set = analysis::rs_member(ctx, &m)});
             return;
           }
           // Join: RdShRLock(n) -> RdShRLock(n+1), same counter.
-          StateWord expected = s;
-          if (m.cas_state(expected,
-                          StateWord::rd_sh_rlock(s.counter(),
-                                                 s.rdlock_count() + 1))) {
-            if (ctx.rd_sh_count < s.counter()) ctx.rd_sh_count = s.counter();
-            ctx.lock_buffer.push_back(&m);
-            ctx.rd_set.insert(&m);
-            finish_pess(ctx, m, /*confl=*/false, /*reentrant=*/false, contended);
-            HT_CHECK_TRANSITION(
-                {.family = analysis::TrackerFamily::kHybrid,
-                 .actor = ctx.id,
-                 .object = &m,
-                 .from = s,
-                 .to = StateWord::rd_sh_rlock(s.counter(),
-                                              s.rdlock_count() + 1),
-                 .access = analysis::AccessKind::kRead,
-                 .rel = analysis::ActorRel::kOther,
-                 .mode = mode_,
-                 .taken = analysis::Mechanism::kCas,
-                 .in_lock_buffer = analysis::lb_member(ctx, &m),
-                 .in_rd_set = analysis::rs_member(ctx, &m)});
+          if (read_lock_from(ctx, m, s,
+                             StateWord::rd_sh_rlock(s.counter(),
+                                                    s.rdlock_count() + 1),
+                             Rel::kOther, /*confl=*/false, contended)) {
             record_all_edges(ctx);
             return;
           }
@@ -950,6 +670,22 @@ class HybridTracker {
     }
   }
 
+  // Read-locks `m` from the unlocked or read-shared state `s` into `next` (a
+  // RdEx or RdSh read lock): enters the lock buffer and read set and raises
+  // rdShCount to a RdSh successor's epoch. The caller records the edges.
+  bool read_lock_from(ThreadContext& ctx, ObjectMeta& m, StateWord s,
+                      StateWord next, Rel rel, bool confl, bool contended) {
+    StateWord expected = s;
+    if (!m.cas_state(expected, next)) return false;
+    if (next.is_rd_sh() && ctx.rd_sh_count < next.counter())
+      ctx.rd_sh_count = next.counter();
+    ctx.lock_buffer.push_back(&m);
+    ctx.rd_set.insert(&m);
+    observe(ctx, m, s, next, AK::kRead, rel, Mech::kCas);
+    finish_pess(ctx, m, confl, /*reentrant=*/false, contended);
+    return true;
+  }
+
   // RdExRLock_T1 / WrExRLock_T1 read by T2 -> RdShRLock(holders) with a
   // fresh global counter (Table 3). The old holder's lock-buffer entry keeps
   // working: its flush decrements the RdShRLock count.
@@ -957,34 +693,18 @@ class HybridTracker {
                        std::uint32_t initial_holders, bool confl,
                        bool contended) {
     const std::uint32_t c = runtime_->next_rd_sh_counter();
-    StateWord expected = s;
-    if (!m.cas_state(expected, StateWord::rd_sh_rlock(c, initial_holders)))
+    if (!read_lock_from(ctx, m, s, StateWord::rd_sh_rlock(c, initial_holders),
+                        Rel::kOther, confl, contended))
       return false;
-    if (ctx.rd_sh_count < c) ctx.rd_sh_count = c;
-    ctx.lock_buffer.push_back(&m);
-    ctx.rd_set.insert(&m);
-    HT_TELEM_TRANSITION(ctx, &m, s,
-                        StateWord::rd_sh_rlock(c, initial_holders));
-    finish_pess(ctx, m, confl, /*reentrant=*/false, contended);
-    HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                         .actor = ctx.id,
-                         .object = &m,
-                         .from = s,
-                         .to = StateWord::rd_sh_rlock(c, initial_holders),
-                         .access = analysis::AccessKind::kRead,
-                         .rel = analysis::ActorRel::kOther,
-                         .mode = mode_,
-                         .taken = analysis::Mechanism::kCas,
-                         .in_lock_buffer = analysis::lb_member(ctx, &m),
-                         .in_rd_set = analysis::rs_member(ctx, &m)});
     // The prior holder has not flushed since locking, so a single-owner
     // current-counter edge would be unsound; fan out conservatively.
     record_all_edges(ctx);
     return true;
   }
 
-  // Optimistic conflicting transition with adaptive-policy landing state
-  // (Fig 10b lines 41-53). Returns false if the CAS to Int lost a race.
+  // Optimistic conflicting transition (Fig 1; Fig 10b lines 41-53). Returns
+  // false if the CAS to Int lost a race and the caller should re-examine
+  // the state.
   bool opt_conflicting(ThreadContext& ctx, ObjectMeta& m, StateWord s,
                        bool is_store) {
     Runtime& rt = *runtime_;
@@ -994,8 +714,10 @@ class HybridTracker {
 
     bool any_explicit = false;
     {
-      IntGuard guard(m, s, ctx.id);
+      IntGuard guard(m, s, ctx.id);  // enforcer regions may unwind the wait
       if (s.is_rd_sh()) {
+        // Prior readers are unknown: coordinate with every other thread
+        // (paper footnote 4).
         any_explicit = rt.coordinate_all_others(ctx);
         record_all_edges(ctx);
       } else {
@@ -1005,7 +727,15 @@ class HybridTracker {
       }
       guard.disarm();
     }
+    land_conflict(ctx, m, s, is_store, any_explicit);
+    return true;
+  }
 
+  // Installs the state a conflicting transition lands in once coordination
+  // is done: the adaptive policy picks the optimistic state or its locked
+  // pessimistic counterpart (never pessimistic at an infinite cutoff).
+  void land_conflict(ThreadContext& ctx, ObjectMeta& m, StateWord from,
+                     bool is_store, bool any_explicit) {
     const bool went_pess = policy_.to_pess_on_conflict(m, any_explicit);
     const StateWord landed =
         went_pess ? (is_store ? StateWord::wr_ex_wlock(ctx.id)
@@ -1013,32 +743,21 @@ class HybridTracker {
                   : (is_store ? StateWord::wr_ex_opt(ctx.id)
                               : StateWord::rd_ex_opt(ctx.id));
     // The landing CASes from our own Int rather than blind-storing: if this
-    // thread was quarantined between its last wait check and coordinate()'s
+    // thread was quarantined between its last wait check and coordination's
     // return, a survivor has already seized the Int and owns the object —
-    // the seized state must win and we park.
+    // the seized state must win and we park (any batch members still Int
+    // are reclaimed by the seizure sweep).
     StateWord intw = StateWord::intermediate(ctx.id);
-    if (!m.cas_state(intw, landed)) rt.quarantined_self_park(ctx);
-    HT_TELEM_TRANSITION(ctx, &m, StateWord::intermediate(ctx.id), landed);
+    if (!m.cas_state(intw, landed)) runtime_->quarantined_self_park(ctx);
     if (went_pess) {
       policy_.note_became_pess(m);
       if (!is_store) ctx.rd_set.insert(&m);
       ctx.lock_buffer.push_back(&m);
       if constexpr (kStats) ++ctx.stats.opt_to_pess;
     }
-    HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                         .actor = ctx.id,
-                         .object = &m,
-                         .from = s,
-                         .to = landed,
-                         .access = is_store ? analysis::AccessKind::kWrite
-                                            : analysis::AccessKind::kRead,
-                         .rel = analysis::ActorRel::kOther,
-                         .policy = went_pess ? analysis::PolicyChoice::kPess
-                                             : analysis::PolicyChoice::kOpt,
-                         .mode = mode_,
-                         .taken = analysis::Mechanism::kCoordination,
-                         .in_lock_buffer = analysis::lb_member(ctx, &m),
-                         .in_rd_set = analysis::rs_member(ctx, &m)});
+    observe(ctx, m, from, landed, is_store ? AK::kWrite : AK::kRead,
+            Rel::kOther, Mech::kCoordination,
+            went_pess ? Choice::kPess : Choice::kOpt);
     if constexpr (kStats) {
       (any_explicit ? ctx.stats.opt_confl_explicit
                     : ctx.stats.opt_confl_implicit)++;
@@ -1047,7 +766,6 @@ class HybridTracker {
                    (any_explicit ? telemetry::kFlagExplicit : 0u) |
                        (is_store ? telemetry::kFlagStore : 0u) |
                        (went_pess ? telemetry::kFlagWentPess : 0u));
-    return true;
   }
 
   // One conflicting optimistic object already moved to Int(self), waiting on
@@ -1061,10 +779,19 @@ class HybridTracker {
   // owner, issues ONE scatter-gather multi-round (all owners' requests
   // posted before any wait, so the round trips overlap and the Int hold
   // window stays ~one round trip), then lands each object exactly as
-  // opt_conflicting would have.
+  // opt_conflicting would have. The `held` objects, owned WrExOpt(self),
+  // sit in Int(self) for the round so that no response hands them away.
   void settle_store_batch(ThreadContext& ctx, const BatchConflict* pend,
-                          std::size_t np) {
+                          std::size_t np, ObjectMeta* const* held,
+                          std::size_t nh) {
     Runtime& rt = *runtime_;
+    const StateWord self_int = StateWord::intermediate(ctx.id);
+    const StateWord self_opt = StateWord::wr_ex_opt(ctx.id);
+    bool is_held[kMaxStoreBatch];
+    for (std::size_t i = 0; i < nh; ++i) {
+      StateWord expected = self_opt;
+      is_held[i] = held[i]->cas_state(expected, self_int);  // false: duplicate
+    }
     Runtime::BatchGroup groups[kMaxStoreBatch];
     std::uint8_t gidx[kMaxStoreBatch];
     std::size_t ng = 0;
@@ -1084,62 +811,37 @@ class HybridTracker {
       rt.coordinate_batch_multi(ctx, groups, ng);
     } catch (...) {
       // Unwinding (RegionRestart, ThreadQuarantined, CoordinationStalled):
-      // restore every pending Int, same as IntGuard does for the scalar
-      // path — nothing has landed yet. A restore CAS that fails lost to a
-      // seizure, which owns the object now. Responses already gathered are
-      // simply abandoned (a response transfers no state, only a counter
+      // restore every pending and held Int, same as IntGuard does for the
+      // scalar path — nothing has landed yet. A restore CAS that fails lost
+      // to a seizure, which owns the object now. Responses already gathered
+      // are simply abandoned (a response transfers no state, only a counter
       // stamp).
       for (std::size_t i = 0; i < np; ++i) {
-        StateWord intw = StateWord::intermediate(ctx.id);
+        StateWord intw = self_int;
         (void)pend[i].m->cas_state(intw, pend[i].from);
+      }
+      for (std::size_t i = 0; i < nh; ++i) {
+        StateWord intw = self_int;
+        if (is_held[i]) (void)held[i]->cas_state(intw, self_opt);
       }
       throw;
     }
+    for (std::size_t i = 0; i < nh; ++i) {
+      StateWord intw = self_int;
+      // As in land_conflict: a failed release lost to a seizure.
+      if (is_held[i] && !held[i]->cas_state(intw, self_opt))
+        rt.quarantined_self_park(ctx);
+    }
     for (std::size_t i = 0; i < np; ++i) {
-      ObjectMeta& m = *pend[i].m;
-      const ThreadId owner = groups[gidx[i]].owner;
-      const bool any_explicit = !groups[gidx[i]].result.implicit;
+      const Runtime::BatchGroup& g = groups[gidx[i]];
       // The owner's single flush-and-bump precedes its response, so its
       // group's shared post-bump counter covers its prior accesses to every
       // object in the group (all were Int before the round trip started).
       if constexpr (Sink::kActive) {
-        sink_->edge(ctx, owner, groups[gidx[i]].result.src_release);
+        sink_->edge(ctx, g.owner, g.result.src_release);
       }
-      const bool went_pess = policy_.to_pess_on_conflict(m, any_explicit);
-      const StateWord landed = went_pess ? StateWord::wr_ex_wlock(ctx.id)
-                                         : StateWord::wr_ex_opt(ctx.id);
-      StateWord intw = StateWord::intermediate(ctx.id);
-      // As in opt_conflicting: a failed landing CAS means a survivor seized
-      // the Int after quarantining us; park immediately. Remaining group
-      // members stay Int and are reclaimed by the seizure sweep.
-      if (!m.cas_state(intw, landed)) rt.quarantined_self_park(ctx);
-      HT_TELEM_TRANSITION(ctx, &m, StateWord::intermediate(ctx.id), landed);
-      if (went_pess) {
-        policy_.note_became_pess(m);
-        ctx.lock_buffer.push_back(&m);
-        if constexpr (kStats) ++ctx.stats.opt_to_pess;
-      }
-      HT_CHECK_TRANSITION({.family = analysis::TrackerFamily::kHybrid,
-                           .actor = ctx.id,
-                           .object = &m,
-                           .from = pend[i].from,
-                           .to = landed,
-                           .access = analysis::AccessKind::kWrite,
-                           .rel = analysis::ActorRel::kOther,
-                           .policy = went_pess ? analysis::PolicyChoice::kPess
-                                               : analysis::PolicyChoice::kOpt,
-                           .mode = mode_,
-                           .taken = analysis::Mechanism::kCoordination,
-                           .in_lock_buffer = analysis::lb_member(ctx, &m),
-                           .in_rd_set = analysis::rs_member(ctx, &m)});
-      if constexpr (kStats) {
-        (any_explicit ? ctx.stats.opt_confl_explicit
-                      : ctx.stats.opt_confl_implicit)++;
-      }
-      HT_TELEM_EVENT(ctx, kOptConflict, 0, telemetry::object_id(&m),
-                     (any_explicit ? telemetry::kFlagExplicit : 0u) |
-                         telemetry::kFlagStore |
-                         (went_pess ? telemetry::kFlagWentPess : 0u));
+      land_conflict(ctx, *pend[i].m, pend[i].from, /*is_store=*/true,
+                    !g.result.implicit);
     }
   }
 

@@ -225,6 +225,74 @@ TEST(CoordBatch, DuplicateObjectsInOneBatchResolveAfterGroupLands) {
   rt.end_blocking(owner_ctx);
 }
 
+// A batch confirms X (already owned) before it waits for Y's owner; while it
+// waits it is a responding safe point, so the owner of Y can take X away
+// from it. The batch must still return owning every object.
+template <typename Tracker>
+void batch_owns_confirmed_object_after_waiting() {
+  Runtime rt;
+  Tracker tracker(rt);
+  ThreadContext& a = rt.register_thread();
+  tracker.attach_thread(a);
+  TrackedVar<std::uint64_t> x, y;
+  x.init(tracker, a, 0);
+
+  std::atomic<bool> ready{false};
+  std::atomic<bool> b_stored{false};
+  std::atomic<bool> done{false};
+  std::thread b_thread([&] {
+    ThreadContext& b = rt.register_thread();
+    tracker.attach_thread(b);
+    y.init(tracker, b, 0);
+    ready.store(true, std::memory_order_release);
+    // No polling until A has moved Y to its Int and is waiting on us.
+    while (y.meta().load_state().raw() != StateWord::intermediate(a.id).raw())
+      std::this_thread::yield();
+    tracker.pre_store(b, x.meta());
+    b_stored.store(true, std::memory_order_release);
+    while (!done.load(std::memory_order_acquire)) {
+      rt.poll(b);
+      std::this_thread::yield();
+    }
+    rt.unregister_thread(b);
+  });
+  while (!ready.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  ObjectMeta* objs[2] = {&x.meta(), &y.meta()};
+  tracker.pre_store_batch(a, objs, 2);
+  const StateWord sx = x.meta().load_state();
+  const StateWord sy = y.meta().load_state();
+  // B's one request to A (ticket 1) may already be posted; A still owns X
+  // as long as it has not answered it.
+  const bool answered_b =
+      a.owner_side.response_watermark.load(std::memory_order_acquire) >= 1;
+  // B's store may still wait on A: keep answering until it is through.
+  while (!b_stored.load(std::memory_order_acquire)) {
+    rt.poll(a);
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  b_thread.join();
+
+  const auto owned_by_a = [&](StateWord s) {
+    return s.raw() == StateWord::wr_ex_opt(a.id).raw() ||
+           s.raw() == StateWord::wr_ex_wlock(a.id).raw();
+  };
+  EXPECT_TRUE(owned_by_a(sy)) << sy.to_string();
+  const bool b_claim_pending = sx.is_intermediate() && !answered_b;
+  EXPECT_TRUE(owned_by_a(sx) || b_claim_pending)
+      << sx.to_string() << (answered_b ? ", B's request answered" : "");
+  rt.unregister_thread(a);
+}
+
+TEST(CoordBatch, HybridBatchOwnsConfirmedObjectAfterWaiting) {
+  batch_owns_confirmed_object_after_waiting<HybridTracker<true>>();
+}
+
+TEST(CoordBatch, OptimisticBatchOwnsConfirmedObjectAfterWaiting) {
+  batch_owns_confirmed_object_after_waiting<OptimisticTracker<true>>();
+}
+
 // --- recording soundness under batching -----------------------------------
 
 WorkloadConfig batchxfer_config(std::uint64_t seed) {

@@ -1,7 +1,7 @@
 // Fault injection and the hardening it exists to test: the coordination
-// watchdog (stall detection + structured diagnostics + fail-fast policy),
-// bounded-wait coordination, and the crash-tolerant v2 recording format
-// (injected short writes / torn files load their longest valid prefix).
+// watchdog (stall detection + structured diagnostics + fail-fast policy)
+// and the crash-tolerant v2 recording format (injected short writes / torn
+// files load their longest valid prefix).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include "recorder/recording_io.hpp"
 #include "recorder/recording_validate.hpp"
 #include "runtime/runtime.hpp"
-#include "test_util.hpp"
 
 namespace ht {
 namespace {
@@ -201,26 +200,21 @@ TEST(Watchdog, ContinuePolicyRecoversWhenOwnerRevives) {
   owner.join();
 }
 
-TEST(Watchdog, BoundedCoordinationGivesUpOnSilentOwner) {
+// A fail-fast wait abandons its ticket; the abandoned ticket is harmless,
+// because the owner's next safe point answers it.
+TEST(Watchdog, FailFastAbandonedTicketIsAnsweredByNextSafePoint) {
   RuntimeConfig cfg;
-  cfg.watchdog.enabled = false;  // the bound IS the policy here
+  cfg.watchdog.stall_epochs = 64;
+  cfg.watchdog.on_stall = WatchdogConfig::OnStall::kFailFast;
+  cfg.watchdog.sink = [](const CoordStallDiagnostic&) {};
   Runtime rt(cfg);
   ThreadContext& self = rt.register_thread();
   ThreadContext& owner = rt.register_thread();  // silent
 
-  const auto r = rt.coordinate_bounded(self, owner.id, 64);
-  EXPECT_FALSE(r.has_value());
-
-  // The abandoned ticket is harmless: the owner's next safe point answers it.
+  EXPECT_THROW(rt.coordinate(self, owner.id), CoordinationStalled);
   EXPECT_EQ(rt.sample_thread(owner.id).pending_requests(), 1u);
   rt.poll(owner);
   EXPECT_EQ(rt.sample_thread(owner.id).pending_requests(), 0u);
-
-  // And a bounded wait against a responsive owner completes normally.
-  testing::BlockedThread parked(rt);
-  const auto ok = rt.coordinate_bounded(self, parked.ctx().id, 64);
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_TRUE(ok->implicit);
 }
 
 // --- crash-tolerant recordings -------------------------------------------------

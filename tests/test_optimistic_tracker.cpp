@@ -159,6 +159,61 @@ TEST_F(OptFixture, ExplicitCoordinationWithRunningOwner) {
   EXPECT_TRUE(state_is(var.meta(), StateKind::kRdExOpt, t1.id));
 }
 
+// Optimistic tracking is hybrid at an infinite cutoff: past Cutoff_confl
+// explicit conflicts, and even under a degraded governor, objects stay
+// optimistic — while the profile word still counts every explicit conflict
+// (the Fig 6 census).
+TEST(OptimisticPolicy, ExplicitConflictsAreCountedButNeverGoPessimistic) {
+  Runtime rt;
+  Tracker tracker(rt);
+  tracker.policy().set_degraded(true);
+  const std::uint32_t rounds = 2 * PolicyConfig{}.cutoff_confl + 1;
+  ThreadContext& t0 = rt.register_thread();
+  TrackedVar<std::uint64_t> var;
+  var.init(tracker, t0, 0);
+
+  // Ping-pong: each side polls while the other takes its turn, so every
+  // transfer coordinates explicitly with a running owner.
+  std::atomic<std::uint32_t> turn{0};
+  const auto play = [&](ThreadContext& ctx, std::uint32_t parity) {
+    for (std::uint32_t i = 0; i < 2 * rounds; ++i) {
+      if (i % 2 != parity) continue;
+      while (turn.load(std::memory_order_acquire) != i) {
+        rt.poll(ctx);
+        std::this_thread::yield();
+      }
+      if (parity == 0) {
+        (void)var.load(tracker, ctx);
+        EXPECT_TRUE(state_is(var.meta(), StateKind::kRdExOpt, ctx.id));
+      } else {
+        var.store(tracker, ctx, i);
+        EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExOpt, ctx.id));
+      }
+      turn.store(i + 1, std::memory_order_release);
+    }
+    while (turn.load(std::memory_order_acquire) != 2 * rounds) {
+      rt.poll(ctx);
+      std::this_thread::yield();
+    }
+  };
+  ThreadContext* reader = nullptr;
+  std::thread t1([&] {
+    reader = &rt.register_thread();
+    play(*reader, 0);
+  });
+  play(t0, 1);
+  t1.join();
+
+  TransitionStats total = t0.stats;
+  total += reader->stats;
+  EXPECT_EQ(total.opt_confl_explicit, 2u * rounds);
+  EXPECT_EQ(total.opt_confl_implicit, 0u);
+  EXPECT_EQ(var.meta().profile().load().opt_conflicts(), 2u * rounds);
+  EXPECT_EQ(total.opt_to_pess, 0u);
+  EXPECT_EQ(total.pess_uncontended, 0u);
+  EXPECT_EQ(total.pess_contended, 0u);
+}
+
 TEST(OptimisticStress, ManyThreadsManyObjects) {
   Runtime rt;
   OptimisticTracker<> tracker(rt);
