@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "common/cycle_timer.hpp"
+#include "enforcer/rs_enforcer.hpp"
 #include "tracking/hybrid_tracker.hpp"
 #include "tracking/optimistic_tracker.hpp"
 #include "tracking/pessimistic_tracker.hpp"
@@ -135,6 +136,45 @@ double hybrid_pess_uncontended_cycles() {
   return cycles;
 }
 
+// RS enforcer layer (DESIGN.md §4.5): a committed empty region under the
+// hybrid enforcer, i.e. the region bookkeeping plus the region-end response
+// check, with nobody requesting.
+double enforcer_empty_region_cycles() {
+  Runtime rt;
+  HybridTracker<> tracker(rt, HybridConfig{});
+  RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
+  ThreadContext& ctx = rt.register_thread();
+  enforcer.attach_thread(ctx);
+  const std::uint64_t t0 = read_cycles();
+  for (int i = 0; i < kIters; ++i) enforcer.run_region(ctx, [] {});
+  return static_cast<double>(read_cycles() - t0) / kIters;
+}
+
+// A same-state store inside a region, its undo entry included: regions of
+// kStores stores to an owned variable, less the empty-region cost, per store.
+double enforcer_region_store_cycles(double empty_region) {
+  Runtime rt;
+  HybridTracker<> tracker(rt, HybridConfig{});
+  RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
+  ThreadContext& ctx = rt.register_thread();
+  enforcer.attach_thread(ctx);
+  TrackedVar<std::uint64_t> var;
+  var.init(tracker, ctx, 0);
+  constexpr int kStores = 16;
+  constexpr int kRegions = kIters / kStores;
+  const std::uint64_t t0 = read_cycles();
+  for (int r = 0; r < kRegions; ++r) {
+    enforcer.run_region(ctx, [&] {
+      for (int s = 0; s < kStores; ++s) {
+        var.store(tracker, ctx, static_cast<std::uint64_t>(s));
+      }
+    });
+  }
+  const double per_region =
+      static_cast<double>(read_cycles() - t0) / kRegions;
+  return (per_region - empty_region) / kStores;
+}
+
 }  // namespace
 
 int main() {
@@ -146,6 +186,8 @@ int main() {
   const double impl = implicit_conflict_cycles();
   const double expl = explicit_conflict_cycles();
   const double hyb_pess = hybrid_pess_uncontended_cycles();
+  const double region = enforcer_empty_region_cycles();
+  const double region_store = enforcer_region_store_cycles(region);
 
   std::printf("%-42s %12.0f\n", "Pessimistic (per access, CAS + unlock):", pess);
   std::printf("%-42s %12.0f\n", "Optimistic same state (fast path):", same);
@@ -153,6 +195,9 @@ int main() {
   std::printf("%-42s %12.0f\n", "Optimistic conflicting, implicit:", impl);
   std::printf("%-42s %12.0f\n", "Hybrid pess uncontended (+PSRO unlock):",
               hyb_pess);
+  std::printf("%-42s %12.0f\n", "Enforcer committed empty region:", region);
+  std::printf("%-42s %12.0f\n", "Enforcer in-region store (+undo entry):",
+              region_store);
 
   std::printf("\nratios (paper in parentheses):\n");
   std::printf("  pessimistic / opt-same : %8.1fx  (3.2x)\n", pess / same);

@@ -85,14 +85,16 @@ class RsEnforcer {
       HT_TELEM_CYCLES(telem_attempt_t0);
       try {
         fn();
-        // Committed: writes stay; exit two-phase locking and respond to any
-        // requesters that queued up during the region (region boundaries are
-        // safe points).
+        // Committed: writes stay; exit two-phase locking and answer the
+        // requesters that queued up during the region. The region boundary
+        // is a response only, not a poll: it adds no instrumentation point
+        // and publishes no liveness, because the caller's next poll or PSRO
+        // does both (DESIGN.md §4.5).
         log.commit();
         ctx.in_region = false;
         ctx.undo_log = nullptr;
         if (serial) fallback_mu_.unlock();
-        rt.poll(ctx);
+        rt.respond_if_pending(ctx);
         return;
       } catch (const RegionRestart&) {
         // on_forced_response already rolled back and the responding safe

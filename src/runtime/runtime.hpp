@@ -176,6 +176,22 @@ class Runtime {
   // inside an SBRS region (two-phase locking, §5.1).
   void poll(ThreadContext& ctx) {
     ++ctx.point_index;
+    // A suppressed poll models a thread that never reached this safe point
+    // (stalled in a long computation, or dead): nothing observable happens —
+    // in particular last_poll and the heartbeat stay frozen so the watchdog
+    // sees the stall and the liveness lease expires.
+    if (!respond_if_pending(ctx)) return;
+    ctx.owner_side.last_poll.store(ctx.point_index,
+                                   std::memory_order_relaxed);
+    renew_lease(ctx);
+  }
+
+  // The response half of poll(), without the point bump or the liveness
+  // publish: an SBRS region's end (RsEnforcer::run_region) answers the
+  // requests that queued up during the region here, and the caller's next
+  // poll or PSRO publishes liveness as usual. Returns false when fault
+  // injection suppressed the safe point.
+  bool respond_if_pending(ThreadContext& ctx) {
     // Quarantine self-check comes BEFORE fault suppression: a stuck thread
     // whose polls are suppressed (injected death) must still observe its own
     // quarantine at the next poll it executes and park rather than keep
@@ -184,18 +200,12 @@ class Runtime {
             ctx.owner_side.status.load(std::memory_order_acquire))) {
       quarantined_self_park(ctx);  // throws ThreadQuarantined
     }
-    // A suppressed poll models a thread that never reached this safe point
-    // (stalled in a long computation, or dead): nothing observable happens —
-    // in particular last_poll and the heartbeat stay frozen so the watchdog
-    // sees the stall and the liveness lease expires.
-    if (injector_ != nullptr && poll_fault_suppressed(ctx)) return;
-    ctx.owner_side.last_poll.store(ctx.point_index,
-                                   std::memory_order_relaxed);
-    renew_lease(ctx);
+    if (injector_ != nullptr && poll_fault_suppressed(ctx)) return false;
     if (!ctx.in_region &&
         (ctx.requests_pending() || ctx.batch_requests_pending())) {
       respond(ctx);
     }
+    return true;
   }
 
   // Safe point inside nondeterministic spin loops (Fig 1 lines 9/18, Fig 10

@@ -21,7 +21,9 @@ void ThreadContext::reset(ThreadId new_id, Runtime* rt) {
   telem = nullptr;
   in_region = false;
   restart_requested = false;
-  region_log.commit();  // a ThreadQuarantined unwind skips commit/rollback
+  // A ThreadQuarantined unwind skips commit/rollback; empty the log but keep
+  // its storage for the context's next thread.
+  region_log.commit();
   undo_log = nullptr;
   flush_self = nullptr;
   flush_fn = nullptr;

@@ -160,7 +160,8 @@ class ThreadContext {
   telemetry::EventRing* telem = nullptr;
 
   // --- RS enforcer state ------------------------------------------------------
-  // Thread-owned: no other thread's log shares its line (DESIGN.md §4.5).
+  // Thread-owned: no other thread's log header or entry storage shares a
+  // line with this thread's (DESIGN.md §4.5).
   bool in_region = false;
   bool restart_requested = false;
   UndoLog region_log;

@@ -9,6 +9,7 @@
 // Both run under the optimistic enforcer [36] and the hybrid enforcer (§5.2).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 
@@ -215,18 +216,28 @@ bool share_a_line(const void* a, std::size_t na, const void* b,
 }
 
 // Every region commit and every in-region store writes the thread's undo
-// log header; four threads' headers on shared lines false-share on every
-// region (DESIGN.md §4.5, §15.4).
+// log header, and every in-region store writes an entry; four threads'
+// headers or entry buffers on shared lines false-share on every region
+// (DESIGN.md §4.5, §15.4).
 TEST(RsEnforcer, ThreadUndoLogsLieOnDistinctCacheLines) {
   Runtime rt;
   HybridTracker<> tracker(rt);
   RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
   constexpr int kThreads = 4;
   const UndoLog* logs[kThreads] = {};
+  const UndoLog::Entry* entries[kThreads] = {};
+  std::size_t entry_bytes[kThreads] = {};
+  TrackedVar<std::uint64_t> vars[kThreads];
   for (int t = 0; t < kThreads; ++t) {
     ThreadContext& ctx = rt.register_thread();
     enforcer.attach_thread(ctx);
-    enforcer.run_region(ctx, [&] { logs[t] = ctx.undo_log; });
+    vars[t].init(tracker, ctx, 0);
+    enforcer.run_region(ctx, [&] {
+      logs[t] = ctx.undo_log;
+      vars[t].store(tracker, ctx, 1);
+      entries[t] = ctx.undo_log->data();
+      entry_bytes[t] = ctx.undo_log->capacity() * sizeof(UndoLog::Entry);
+    });
   }
   for (int i = 0; i < kThreads; ++i) {
     ASSERT_NE(logs[i], nullptr);
@@ -234,6 +245,19 @@ TEST(RsEnforcer, ThreadUndoLogsLieOnDistinctCacheLines) {
       EXPECT_FALSE(share_a_line(logs[i], sizeof(UndoLog), logs[j],
                                 sizeof(UndoLog)))
           << "undo logs of threads " << i << " and " << j << " share a line";
+    }
+  }
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_NE(entries[i], nullptr);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(entries[i]) % kCacheLine, 0u)
+        << "thread " << i << "'s undo entries do not start a line";
+    EXPECT_EQ(entry_bytes[i] % kCacheLine, 0u)
+        << "thread " << i << "'s undo entries end inside a line";
+    for (int j = i + 1; j < kThreads; ++j) {
+      EXPECT_FALSE(share_a_line(entries[i], entry_bytes[i], entries[j],
+                                entry_bytes[j]))
+          << "undo entries of threads " << i << " and " << j
+          << " share a line";
     }
   }
 }
@@ -322,6 +346,114 @@ TEST(RsEnforcer, ForcedResponseInFirstAccessKeepsRunning) {
   });
   EXPECT_FALSE(ctx.restart_requested);
   EXPECT_EQ(v.raw_load(), 6u);
+}
+
+// A region's end is a responding safe point: a request another thread posts
+// while the region runs is answered when run_region returns, without a poll
+// by the caller. `request` runs on the requester thread and blocks until
+// answered; `posted` tells the owner the request is in.
+template <typename Request, typename Posted>
+void region_end_answers(Request&& request, Posted&& posted) {
+  Runtime rt;
+  HybridTracker<> tracker(rt);
+  RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
+  ThreadContext& owner = rt.register_thread();
+  enforcer.attach_thread(owner);
+  TrackedVar<std::uint64_t> v;
+  v.init(tracker, owner, 0);
+
+  std::atomic<bool> answered{false};
+  std::thread requester([&] {
+    ThreadContext& self = rt.register_thread();
+    request(rt, self, owner.id);
+    answered.store(true);
+    rt.unregister_thread(self);
+  });
+  const std::uint64_t responses = owner.stats.responding_safepoints;
+  enforcer.run_region(owner, [&] {
+    v.store(tracker, owner, 1);
+    while (!posted(owner)) std::this_thread::yield();
+  });
+  const bool still_posted = posted(owner);
+  EXPECT_FALSE(still_posted) << "the region end left the request unanswered";
+  EXPECT_EQ(owner.stats.responding_safepoints, responses + 1);
+  if (still_posted) rt.poll(owner);  // free the requester before failing
+  requester.join();
+  EXPECT_TRUE(answered.load());
+  EXPECT_EQ(v.raw_load(), 1u);
+  rt.unregister_thread(owner);
+}
+
+TEST(RsEnforcer, RegionEndAnswersAScalarTicket) {
+  region_end_answers(
+      [](Runtime& rt, ThreadContext& self, ThreadId owner) {
+        (void)rt.coordinate(self, owner);
+      },
+      [](const ThreadContext& owner) { return owner.requests_pending(); });
+}
+
+TEST(RsEnforcer, RegionEndAnswersABatchMailboxNode) {
+  region_end_answers(
+      [](Runtime& rt, ThreadContext& self, ThreadId owner) {
+        (void)rt.coordinate_batch(self, owner, 3);
+      },
+      [](const ThreadContext& owner) {
+        return owner.batch_requests_pending();
+      });
+}
+
+// The region end adds no instrumentation point of its own: a committed
+// region advances point_index by exactly its tracked accesses.
+TEST(RsEnforcer, CommittedRegionAddsOnlyItsAccessPoints) {
+  Runtime rt;
+  HybridTracker<> tracker(rt);
+  RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
+  ThreadContext& ctx = rt.register_thread();
+  enforcer.attach_thread(ctx);
+  TrackedVar<std::uint64_t> x, y;
+  x.init(tracker, ctx, 0);
+  y.init(tracker, ctx, 0);
+
+  const std::uint64_t start = ctx.point_index;
+  enforcer.run_region(ctx, [&] {
+    x.store(tracker, ctx, x.load(tracker, ctx) + 1);
+    y.store(tracker, ctx, 2);
+  });
+  EXPECT_EQ(ctx.point_index, start + 3);
+  enforcer.run_region(ctx, [] {});
+  EXPECT_EQ(ctx.point_index, start + 3) << "an empty region added a point";
+}
+
+// A thread quarantined while inside a region observes it at the region end:
+// it parks (ThreadQuarantined) instead of answering the ticket it holds.
+TEST(RsEnforcer, QuarantineDuringARegionParksAtTheRegionEnd) {
+  Runtime rt;
+  HybridTracker<> tracker(rt);
+  RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
+  ThreadContext& ctx = rt.register_thread();
+  ThreadContext& survivor = rt.register_thread();
+  enforcer.attach_thread(ctx);
+  TrackedVar<std::uint64_t> v;
+  v.init(tracker, ctx, 0);
+
+  const std::uint64_t release = ctx.release_counter_relaxed();
+  const std::uint64_t responses = ctx.stats.responding_safepoints;
+  EXPECT_THROW(enforcer.run_region(ctx,
+                                   [&] {
+                                     v.store(tracker, ctx, 1);
+                                     // A requester's ticket, then the
+                                     // watchdog's verdict.
+                                     ctx.requester_side.request_tickets
+                                         .fetch_add(1);
+                                     ASSERT_TRUE(
+                                         rt.quarantine_thread(survivor, ctx.id));
+                                   }),
+               ThreadQuarantined);
+  EXPECT_TRUE(ctx.quarantined_self);
+  EXPECT_FALSE(ctx.in_region);
+  EXPECT_EQ(ctx.release_counter_relaxed(), release) << "the victim responded";
+  EXPECT_EQ(ctx.stats.responding_safepoints, responses)
+      << "the victim responded";
 }
 
 // ElisionTracking: a repeated store to the same variable inside a region,

@@ -2,7 +2,9 @@
 // and the enforcer's undo log.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "enforcer/region.hpp"
 #include "runtime/sync.hpp"
@@ -127,6 +129,80 @@ TEST(UndoLog, CommitDiscardsEntries) {
   log.commit();
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(a.load(), 5u);
+}
+
+// Old values in the order rollback restored them (RestoreFn cannot capture).
+std::vector<std::uint64_t> g_restored;
+
+void restore_and_note(void* addr, std::uint64_t bits) {
+  g_restored.push_back(bits);
+  static_cast<std::atomic<std::uint64_t>*>(addr)->store(
+      bits, std::memory_order_relaxed);
+}
+
+TEST(UndoLog, GrowsPastInitialCapacityAndRollsBackEarliestValues) {
+  constexpr std::size_t kVars = 5;
+  constexpr std::size_t kPushes = 3 * UndoLog::kInitialCapacity + 7;
+  std::atomic<std::uint64_t> vars[kVars];
+  for (std::size_t i = 0; i < kVars; ++i) vars[i].store(100 * i);
+
+  UndoLog log;
+  std::vector<std::uint64_t> pushed;
+  for (std::size_t k = 0; k < kPushes; ++k) {
+    std::atomic<std::uint64_t>& v = vars[k % kVars];  // each var many times
+    pushed.push_back(v.load());
+    log.push(&v, v.load(), &restore_and_note);
+    v.store(1000 + k);
+  }
+  EXPECT_EQ(log.size(), kPushes);
+  EXPECT_GE(log.capacity(), kPushes);
+
+  g_restored.clear();
+  log.rollback();
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(g_restored,
+            std::vector<std::uint64_t>(pushed.rbegin(), pushed.rend()))
+      << "rollback must run newest entry first";
+  for (std::size_t i = 0; i < kVars; ++i) {
+    EXPECT_EQ(vars[i].load(), 100 * i) << "var " << i;
+  }
+}
+
+TEST(UndoLog, CommitKeepsStorageForTheNextRegion) {
+  std::atomic<std::uint64_t> a{0};
+  constexpr std::size_t kPushes = 2 * UndoLog::kInitialCapacity + 1;
+  UndoLog log;
+  for (std::size_t k = 0; k < kPushes; ++k) {
+    log.push(&a, k, &restore_and_note);
+  }
+  log.commit();
+  EXPECT_TRUE(log.empty());
+  const UndoLog::Entry* storage = log.data();
+  const std::size_t capacity = log.capacity();
+  ASSERT_NE(storage, nullptr);
+
+  for (std::size_t k = 0; k < kPushes; ++k) {
+    log.push(&a, k, &restore_and_note);
+  }
+  EXPECT_EQ(log.data(), storage) << "a same-sized region reallocated";
+  EXPECT_EQ(log.capacity(), capacity);
+  log.commit();
+}
+
+TEST(UndoLog, ContextResetEmptiesAGrownLog) {
+  Runtime rt;
+  ThreadContext& ctx = rt.register_thread();
+  std::atomic<std::uint64_t> a{0};
+  for (std::size_t k = 0; k < 3 * UndoLog::kInitialCapacity; ++k) {
+    ctx.region_log.push(&a, k, &restore_and_note);
+  }
+  ASSERT_GT(ctx.region_log.capacity(), UndoLog::kInitialCapacity);
+
+  ctx.reset(ctx.id, &rt);
+  EXPECT_TRUE(ctx.region_log.empty());
+  g_restored.clear();
+  ctx.region_log.rollback();
+  EXPECT_TRUE(g_restored.empty()) << "reset left entries to roll back";
 }
 
 TEST(TrackedVar, StoreLogsUndoOnlyInsideRegions) {
