@@ -5,7 +5,7 @@
 // group has exactly one taker per round and one coherent previous owner.
 // Every takeover conflicts with that owner, so an unbatched transfer pays K
 // explicit coordination round trips while a batched transfer posts ONE
-// coordinate_batch mailbox round for the whole group.
+// batched mailbox round for the whole group.
 //
 // Sweeps thread count x objects-per-owner x handoff rate and emits
 // machine-independent gate metrics next to the wall-time series:

@@ -1,18 +1,22 @@
-// Spin-wait backoff tuned for oversubscribed cores.
+// Spin-wait backoff for cross-thread waits.
 //
 // Coordination in this system is a cross-thread round trip: the requester
-// spins until the remote thread reaches a safe point. When threads outnumber
-// cores (our container exposes a single core), pure spinning turns every
-// round trip into a full scheduling quantum. Backoff therefore escalates
-// quickly from pause instructions to std::this_thread::yield(), which is what
-// keeps the "explicit coordination costs a round trip, not a quantum"
-// property of the paper intact.
+// waits until the remote thread reaches a safe point. On a multi-core host
+// the remote thread usually runs on another core and answers within a few
+// microseconds, so the backoff first spins for about one such round trip.
+// The spin is bounded: when threads outnumber cores, the thread being
+// waited for may need this very CPU, so the backoff then escalates to
+// std::this_thread::yield(), which keeps the "explicit coordination costs a
+// round trip, not a quantum" property of the paper intact.
 //
 // Yielding has its own failure mode: when the waited-on thread is stalled
 // (not merely descheduled), every yield is immediately rescheduled back and
 // the waiter burns a full core indefinitely — a yield storm. After a yield
 // budget the backoff escalates again to short sleep_for ticks, doubling up
 // to a cap, so a stalled-owner wait costs wakeups per second, not a core.
+// A waiter that can see the awaited thread progress calls keep_awake(): a
+// sleeping waiter answers nobody and wakes late, so sleeps are kept for
+// threads that are really frozen.
 #pragma once
 
 #include <chrono>
@@ -77,9 +81,8 @@ class Backoff {
   };
 
   // spins_before_yield: how many pause-loop rounds before ceding the CPU.
-  // The default is small: when the waited-on thread shares the core (our
-  // container exposes one), spinning delays the very response being waited
-  // for.
+  // Round i spins 2^i pauses, so the default 7 rounds spin 127 pauses
+  // (about 3 us at ~25 ns a pause), about one multi-core round trip.
   // yields_before_sleep: how many yield rounds before escalating to sleep
   // ticks. Large enough that every healthy wait (the owner responds within
   // a few scheduling quanta) finishes while still yielding; responses are
@@ -89,7 +92,8 @@ class Backoff {
   // jitter_seed: nonzero enables ±25% deterministic jitter on each sleep so
   // multiple coordinators whose leases expired together don't re-request in
   // lockstep; zero disables jitter (exact doubling, as before).
-  explicit Backoff(int spins_before_yield = 2, int yields_before_sleep = 64,
+  explicit Backoff(int spins_before_yield = kDefaultSpinRounds,
+                   int yields_before_sleep = kDefaultYieldsBeforeSleep,
                    int max_sleep_us = kDefaultMaxSleepUs,
                    std::uint32_t jitter_seed = 0)
       : limit_(spins_before_yield),
@@ -140,12 +144,26 @@ class Backoff {
     sleep_us_ = kMinSleepUs;
   }
 
+  // The awaited thread showed progress: a wait that has ceded the CPU goes
+  // back to the start of its yield budget, so it sleeps only after a whole
+  // budget of yields sees no progress, and its first sleep is kMinSleepUs
+  // again. A wait still in its spin phase is unchanged.
+  void keep_awake() {
+    if (count_ > limit_) count_ = limit_;
+    sleep_us_ = kMinSleepUs;
+  }
+
   // True once the backoff has escalated to ceding the CPU (yield or sleep).
   bool yielding() const { return count_ >= limit_; }
 
   // True once the yield budget is exhausted and waits are sleep ticks.
   bool sleeping() const { return count_ >= sleep_after_; }
 
+  static constexpr int kDefaultSpinRounds = 7;
+  // Two rounds (3 pauses), for waits where threads outnumber CPUs: there
+  // the awaited thread may need this very CPU.
+  static constexpr int kOversubscribedSpinRounds = 2;
+  static constexpr int kDefaultYieldsBeforeSleep = 64;
   static constexpr int kMinSleepUs = 20;
   static constexpr int kDefaultMaxSleepUs = 256;
 

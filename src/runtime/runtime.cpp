@@ -1,7 +1,9 @@
 #include "runtime/runtime.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <thread>
 
 #include "common/spin.hpp"
 #include "faultinject/fault_injector.hpp"
@@ -9,10 +11,22 @@
 
 namespace ht {
 
+namespace {
+
+// Read once per process: the query can cost a file read, and workloads
+// build a Runtime per trial.
+unsigned host_cpus() {
+  static const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+  return n;
+}
+
+}  // namespace
+
 Runtime::Runtime(RuntimeConfig cfg)
     : cfg_(std::move(cfg)),
       registry_(cfg_.max_threads),
-      injector_(cfg_.fault_injector) {}
+      injector_(cfg_.fault_injector),
+      cpus_(host_cpus()) {}
 
 ThreadContext& Runtime::register_thread() {
   ThreadContext& ctx = registry_.register_thread(this);
@@ -307,299 +321,200 @@ struct ProgressFingerprint {
   }
 };
 
+// Implicit coordination (§2.2): a CAS on the epoch of a parked owner's
+// status proves the owner is parked beyond its flush-and-bump.
+bool claim_parked(ThreadContext& remote) {
+  std::uint64_t st = remote.owner_side.status.load(std::memory_order_acquire);
+  return ThreadStatus::is_blocked(st) &&
+         remote.owner_side.status.compare_exchange_strong(
+             st, ThreadStatus::bump_epoch(st), std::memory_order_acq_rel,
+             std::memory_order_acquire);
+}
+
 }  // namespace
 
-Runtime::CoordResult Runtime::coordinate(ThreadContext& self, ThreadId owner) {
-  HT_ASSERT(owner != self.id, "self-coordination");
-  ThreadContext& remote = registry_.context(owner);
-  ++self.stats.coordination_rounds;
+void Runtime::round_trip(ThreadContext& self, Request* reqs, std::size_t n) {
   HT_TELEM_CYCLES(telem_t0);
-
-  // Fast path: implicit coordination with a blocked owner (§2.2). The CAS on
-  // the epoch proves the owner is parked beyond its flush-and-bump.
-  std::uint64_t st = remote.owner_side.status.load(std::memory_order_acquire);
-  if (ThreadStatus::is_blocked(st)) {
-    if (remote.owner_side.status.compare_exchange_strong(
-            st, ThreadStatus::bump_epoch(st), std::memory_order_acq_rel,
-            std::memory_order_acquire)) {
-      HT_TELEM_ELAPSED(self, kCoordRoundTrip, telem_t0, owner, 1);
-      return CoordResult{
-          remote.owner_side.release_counter.load(std::memory_order_acquire),
-          /*implicit=*/true};
+  const auto settle = [&](Request& r, std::uint64_t src_release,
+                          bool implicit) {
+    r.done = true;
+    r.result = CoordResult{src_release, implicit};
+    HT_TELEM_ELAPSED(self, kCoordRoundTrip, telem_t0, r.owner, implicit);
+    if (r.objects != 0) {
+      // Batch accounting covers every exit uniformly: a pool-exhausted
+      // group's scalar ticket still answers all its objects in one
+      // flush-and-bump visit, so it counts as one batched round.
+      ++self.stats.coord_batch_rounds;
+      self.stats.coord_batch_objects += r.objects;
+      HT_TELEM_EVENT(self, kCoordBatch, r.objects, r.owner, implicit);
     }
+  };
+
+  // Scatter phase: every request is posted before any wait, so the round
+  // trips overlap and the whole call costs about the slowest owner's
+  // response. A parked owner resolves implicitly without posting: that
+  // needs no traffic, and keeps a permanently parked (exited, quarantined)
+  // owner's mailbox from accumulating abandoned nodes.
+  for (std::size_t i = 0; i < n; ++i) {
+    Request& r = reqs[i];
+    HT_ASSERT(r.owner != self.id, "self-coordination");
+    r.remote = &registry_.context(r.owner);
+    ThreadContext& remote = *r.remote;
+    ++self.stats.coordination_rounds;
+    r.done = false;
+    r.node = nullptr;
+    r.ticket = 0;
+    if (claim_parked(remote)) {
+      settle(r, remote.release_counter_acquire(), /*implicit=*/true);
+      continue;
+    }
+    // A batch request takes a mailbox node; when every pool node is still
+    // in flight (abandoned to mailboxes nobody has drained yet) it takes a
+    // scalar ticket instead, which covers all its objects just the same: a
+    // response is a whole-buffer flush either way.
+    r.node = r.objects != 0 ? self.claim_batch_node() : nullptr;
+    if (r.node == nullptr) {
+      r.ticket = remote.requester_side.request_tickets.fetch_add(
+                     1, std::memory_order_acq_rel) +
+                 1;
+      // Span open (§14): identity is (owner, ticket); the matching close is
+      // this thread's kCoordRoundTrip, the owner half joins by watermark
+      // range.
+      HT_TELEM_EVENT(self, kCoordRequest, r.ticket, r.owner, 0);
+      continue;
+    }
+    r.node->requester = self.id;
+    r.node->objects = r.objects;
+    r.node->span_id = ++self.coord_span_counter;
+    r.node->src_release.store(0, std::memory_order_relaxed);
+    // Marks the node in flight, so the next claim_batch_node() in this very
+    // loop picks a different one.
+    r.node->consumed.store(false, std::memory_order_relaxed);
+    // Span open (§14): identity is (requester, span id); whoever drains the
+    // node echoes the id in a kCoordBatchDrain on its own ring.
+    HT_TELEM_EVENT(self, kCoordRequest, r.node->span_id, r.owner, 1);
+    remote.mailbox.queue.push(r.node);  // the push's CAS releases the fills
   }
 
-  // Explicit request: take a ticket, wait for the owner's watermark to pass
-  // it. While waiting we are ourselves a safe point (Fig 1 line 18).
-  const std::uint64_t ticket =
-      remote.requester_side.request_tickets.fetch_add(
-          1, std::memory_order_acq_rel) +
-      1;
-  // Span open (§14): identity is (owner, ticket); the matching close is this
-  // thread's kCoordRoundTrip, the owner half joins by watermark range.
-  HT_TELEM_EVENT(self, kCoordRequest, ticket, owner, 0);
+  // Gather phase: each request completes when its owner's watermark passes
+  // the ticket or its node is drained (consumed, acquire), or when its
+  // owner parks (implicit; the ticket or node is abandoned and answered at
+  // the owner's next safe point or drain). While waiting we are ourselves a
+  // safe point (Fig 1 line 18). Unwinding exits (RegionRestart from
+  // responding, quarantine, CoordinationStalled) abandon every pending
+  // request the same way. The watchdog polices the first unresolved owner,
+  // re-aimed as owners resolve.
   const WatchdogConfig& wd = cfg_.watchdog;
-  const bool police = wd.enabled;
   // Jitter the sleep ticks by requester id: coordinators whose leases on the
   // same stalled owner expire together must not re-request in lockstep.
-  Backoff backoff(/*spins_before_yield=*/2, /*yields_before_sleep=*/64,
+  Backoff backoff(spin_rounds(), Backoff::kDefaultYieldsBeforeSleep,
                   wd.backoff_max_sleep_us,
                   /*jitter_seed=*/0x9E3779B9u * (self.id + 1));
   std::uint64_t epochs = 0;
   std::uint64_t stalled_epochs = 0;
   std::uint32_t dumps = 0;
-  ProgressFingerprint last = ProgressFingerprint::of(remote);
+  const Request* policed = nullptr;
+  ProgressFingerprint last{};
   for (;;) {
-    if (remote.owner_side.response_watermark.load(std::memory_order_acquire) >=
-        ticket) {
-      HT_TELEM_ELAPSED(self, kCoordRoundTrip, telem_t0, owner, 0);
-      return CoordResult{
-          remote.owner_side.release_counter.load(std::memory_order_acquire),
-          /*implicit=*/false};
+    Request* first = nullptr;  // first unresolved request
+    for (std::size_t i = 0; i < n; ++i) {
+      Request& r = reqs[i];
+      if (r.done) continue;
+      ThreadContext& remote = *r.remote;
+      if (r.node != nullptr
+              ? r.node->consumed.load(std::memory_order_acquire)
+              : remote.owner_side.response_watermark.load(
+                    std::memory_order_acquire) >= r.ticket) {
+        // Only this thread claims from its own pool, so a drained node's
+        // stamp is stable until our next claim_batch_node().
+        settle(r,
+               r.node != nullptr
+                   ? r.node->src_release.load(std::memory_order_relaxed)
+                   : remote.release_counter_acquire(),
+               /*implicit=*/false);
+      } else if (claim_parked(remote)) {
+        settle(r, remote.release_counter_acquire(), /*implicit=*/true);
+      } else if (first == nullptr) {
+        first = &r;
+      }
     }
-    st = remote.owner_side.status.load(std::memory_order_acquire);
-    if (ThreadStatus::is_blocked(st) &&
-        remote.owner_side.status.compare_exchange_strong(
-            st, ThreadStatus::bump_epoch(st), std::memory_order_acq_rel,
-            std::memory_order_acquire)) {
-      // Owner blocked after our ticket; our abandoned ticket is harmless
-      // (the watermark scheme answers it at the owner's next safe point).
-      HT_TELEM_ELAPSED(self, kCoordRoundTrip, telem_t0, owner, 1);
-      return CoordResult{
-          remote.owner_side.release_counter.load(std::memory_order_acquire),
-          /*implicit=*/true};
-    }
+    if (first == nullptr) return;
     respond_while_waiting(self);  // may throw RegionRestart; wait point
     // Under a virtual scheduler the wait point above already yielded the
     // virtual CPU; OS backoff on top would only burn wall time.
     if (!schedule::virtualized()) backoff.pause();
     ++epochs;
-    if (police) {
-      const ProgressFingerprint now = ProgressFingerprint::of(remote);
-      if (now != last) {
-        last = now;
-        stalled_epochs = 0;
-      } else if (++stalled_epochs >= wd.stall_epochs) {
-        // The owner's liveness lease expired: a full stall window passed
-        // with no heartbeat, poll, response, or status movement.
-        HT_TELEM_EVENT(self, kLeaseExpired, owner, ticket, stalled_epochs);
-        CoordStallDiagnostic diag = build_stall_diagnostic(
-            self, remote, ticket, epochs, stalled_epochs);
-        if (dumps < wd.max_dumps) {
-          emit_stall_diagnostic(diag);
-          ++dumps;
-        }
-        if (wd.on_stall == WatchdogConfig::OnStall::kFailFast) {
-          throw CoordinationStalled{std::move(diag)};
-        }
-        if (wd.on_stall == WatchdogConfig::OnStall::kQuarantine) {
-          // Escalate: flip the silent owner to terminal Quarantined.
-          // Success publishes its watermark past our ticket (the next loop
-          // iteration returns); failure proves the owner progressed after
-          // the fingerprint was taken, so rearming the clock is correct.
-          quarantine_thread(self, owner);
-          last = ProgressFingerprint::of(remote);
-        }
-        stalled_epochs = 0;  // kContinue/kQuarantine: rearm the stall clock
-      }
+    // Any owner movement resets the stall clock and keeps the wait from
+    // sleeping: a sleeping waiter answers nobody and wakes late.
+    ThreadContext& remote = *first->remote;
+    const ProgressFingerprint now = ProgressFingerprint::of(remote);
+    if (first != policed || now != last) {
+      policed = first;
+      last = now;
+      stalled_epochs = 0;
+      backoff.keep_awake();
+      continue;
     }
+    if (!wd.enabled || ++stalled_epochs < wd.stall_epochs) continue;
+    // The owner's liveness lease expired: a full stall window passed with
+    // no heartbeat, poll, response, or status movement.
+    HT_TELEM_EVENT(self, kLeaseExpired, first->owner, first->ticket,
+                   stalled_epochs);
+    CoordStallDiagnostic diag = build_stall_diagnostic(
+        self, remote, first->ticket, epochs, stalled_epochs);
+    if (dumps < wd.max_dumps) {
+      emit_stall_diagnostic(diag);
+      ++dumps;
+    }
+    if (wd.on_stall == WatchdogConfig::OnStall::kFailFast) {
+      throw CoordinationStalled{std::move(diag)};
+    }
+    if (wd.on_stall == WatchdogConfig::OnStall::kQuarantine) {
+      // Escalate: flip the silent owner to terminal Quarantined. Success
+      // publishes its watermark past our ticket and drains its mailbox (our
+      // node included), so the next sweep resolves the request; failure
+      // proves the owner progressed after the fingerprint was taken, so
+      // rearming the clock is correct.
+      quarantine_thread(self, first->owner);
+      last = ProgressFingerprint::of(remote);
+    }
+    stalled_epochs = 0;  // kContinue/kQuarantine: rearm the stall clock
   }
 }
 
-Runtime::CoordResult Runtime::coordinate_batch(ThreadContext& self,
-                                               ThreadId owner,
-                                               std::uint32_t n_objects) {
-  BatchGroup g{owner, n_objects == 0 ? 1u : n_objects, {}};
-  coordinate_batch_multi(self, &g, 1);
-  return g.result;
+Runtime::CoordResult Runtime::coordinate(ThreadContext& self, ThreadId owner) {
+  Request r{owner};
+  round_trip(self, &r, 1);
+  return r.result;
 }
 
 void Runtime::coordinate_batch_multi(ThreadContext& self, BatchGroup* groups,
                                      std::size_t n) {
   HT_ASSERT(n <= kMaxBatchGroups, "batch group overflow");
-  HT_TELEM_CYCLES(telem_t0);
-
-  const auto finish = [&](BatchGroup& g) {
-    // Batch accounting covers every exit uniformly: even the scalar
-    // fallback answers all n_objects in the one flush-and-bump visit, so it
-    // still counts as one batched round (requester-side only — a
-    // quarantiner draining a victim's mailbox must never touch the victim's
-    // non-atomic stats).
-    ++self.stats.coord_batch_rounds;
-    self.stats.coord_batch_objects += g.n_objects;
-    HT_TELEM_EVENT(self, kCoordBatch, g.n_objects, g.owner,
-                   g.result.implicit ? 1 : 0);
-  };
-
-  // Scatter phase: resolve parked owners implicitly, post one mailbox node
-  // to every running owner. The implicit fast path is checked BEFORE
-  // posting: coordination with a parked owner needs no mailbox traffic, and
-  // not posting keeps a permanently-parked (exited, quarantined) owner's
-  // mailbox from accumulating abandoned nodes.
-  CoordBatchNode* nodes[kMaxBatchGroups];
-  bool resolved[kMaxBatchGroups];
-  std::size_t pending = 0;   // posted, awaiting drain
-  bool deferred = false;     // pool-exhausted groups, settled scalar below
+  Request reqs[kMaxBatchGroups];
   for (std::size_t i = 0; i < n; ++i) {
-    BatchGroup& g = groups[i];
-    HT_ASSERT(g.owner != self.id, "self-coordination");
-    nodes[i] = nullptr;
-    resolved[i] = false;
-    ThreadContext& remote = registry_.context(g.owner);
-    std::uint64_t st =
-        remote.owner_side.status.load(std::memory_order_acquire);
-    if (ThreadStatus::is_blocked(st) &&
-        remote.owner_side.status.compare_exchange_strong(
-            st, ThreadStatus::bump_epoch(st), std::memory_order_acq_rel,
-            std::memory_order_acquire)) {
-      g.result = CoordResult{
-          remote.owner_side.release_counter.load(std::memory_order_acquire),
-          /*implicit=*/true};
-      resolved[i] = true;
-      ++self.stats.coordination_rounds;
-      HT_TELEM_ELAPSED(self, kCoordRoundTrip, telem_t0, g.owner, 1);
-      finish(g);
-      continue;
-    }
-    CoordBatchNode* node = self.claim_batch_node();
-    if (node == nullptr) {
-      // Every pool node is still in flight (abandoned to mailboxes nobody
-      // has drained yet). One scalar round trip still covers all the
-      // group's objects: a response is a whole-buffer flush either way.
-      deferred = true;
-      continue;
-    }
-    node->requester = self.id;
-    node->objects = g.n_objects;
-    node->span_id = ++self.coord_span_counter;
-    node->src_release.store(0, std::memory_order_relaxed);
-    // Marks the node in flight, so the next claim_batch_node() in this very
-    // loop picks a different one.
-    node->consumed.store(false, std::memory_order_relaxed);
-    // Span open (§14): identity is (requester, span id); whoever drains the
-    // node echoes the id in a kCoordBatchDrain on its own ring.
-    HT_TELEM_EVENT(self, kCoordRequest, node->span_id, g.owner, 1);
-    remote.mailbox.queue.push(node);  // the push's CAS releases the fills
-    ++self.stats.coordination_rounds;
-    nodes[i] = node;
-    ++pending;
+    HT_ASSERT(groups[i].n_objects != 0, "empty batch group");
+    reqs[i] = Request{groups[i].owner, groups[i].n_objects};
   }
-
-  // Gather phase: wait for every posted node's drain (consumed, acquire) or
-  // for its owner to park (implicit exit; the posted node is abandoned and
-  // recycles at the next drain). Unwinding exits (RegionRestart from
-  // responding, quarantine) abandon all pending nodes the same way.
-  // Watchdog policing mirrors coordinate(), aimed at the first
-  // unresolved owner and re-aimed as owners resolve: the mailbox is an
-  // alternate request channel, not an alternate failure model.
-  const WatchdogConfig& wd = cfg_.watchdog;
-  const bool police = wd.enabled;
-  Backoff backoff(/*spins_before_yield=*/2, /*yields_before_sleep=*/64,
-                  wd.backoff_max_sleep_us,
-                  /*jitter_seed=*/0x9E3779B9u * (self.id + 1));
-  std::uint64_t epochs = 0;
-  std::uint64_t stalled_epochs = 0;
-  std::uint32_t dumps = 0;
-  std::size_t policed = kMaxBatchGroups;  // sentinel: none yet
-  ProgressFingerprint last{};
-  while (pending != 0) {
-    for (std::size_t i = 0; i < n && pending != 0; ++i) {
-      if (resolved[i] || nodes[i] == nullptr) continue;
-      BatchGroup& g = groups[i];
-      ThreadContext& remote = registry_.context(g.owner);
-      if (nodes[i]->consumed.load(std::memory_order_acquire)) {
-        // Only this thread claims from its own pool, so the node's stamp
-        // is stable until our next claim_batch_node().
-        g.result = CoordResult{
-            nodes[i]->src_release.load(std::memory_order_relaxed),
-            /*implicit=*/false};
-        resolved[i] = true;
-        --pending;
-        HT_TELEM_ELAPSED(self, kCoordRoundTrip, telem_t0, g.owner, 0);
-        finish(g);
-        continue;
-      }
-      std::uint64_t st =
-          remote.owner_side.status.load(std::memory_order_acquire);
-      if (ThreadStatus::is_blocked(st) &&
-          remote.owner_side.status.compare_exchange_strong(
-              st, ThreadStatus::bump_epoch(st), std::memory_order_acq_rel,
-              std::memory_order_acquire)) {
-        g.result = CoordResult{
-            remote.owner_side.release_counter.load(std::memory_order_acquire),
-            /*implicit=*/true};
-        resolved[i] = true;
-        --pending;
-        HT_TELEM_ELAPSED(self, kCoordRoundTrip, telem_t0, g.owner, 1);
-        finish(g);
-      }
-    }
-    if (pending == 0) break;
-    respond_while_waiting(self);  // may throw RegionRestart; wait point
-    // Under a virtual scheduler the wait point above already yielded the
-    // virtual CPU; OS backoff on top would only burn wall time.
-    if (!schedule::virtualized()) backoff.pause();
-    ++epochs;
-    if (police) {
-      std::size_t target = kMaxBatchGroups;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!resolved[i] && nodes[i] != nullptr) {
-          target = i;
-          break;
-        }
-      }
-      if (target == kMaxBatchGroups) continue;
-      ThreadContext& remote = registry_.context(groups[target].owner);
-      if (target != policed) {
-        policed = target;
-        last = ProgressFingerprint::of(remote);
-        stalled_epochs = 0;
-        continue;
-      }
-      const ProgressFingerprint now = ProgressFingerprint::of(remote);
-      if (now != last) {
-        last = now;
-        stalled_epochs = 0;
-      } else if (++stalled_epochs >= wd.stall_epochs) {
-        HT_TELEM_EVENT(self, kLeaseExpired, groups[target].owner, 0,
-                       stalled_epochs);
-        CoordStallDiagnostic diag = build_stall_diagnostic(
-            self, remote, /*ticket=*/0, epochs, stalled_epochs);
-        if (dumps < wd.max_dumps) {
-          emit_stall_diagnostic(diag);
-          ++dumps;
-        }
-        if (wd.on_stall == WatchdogConfig::OnStall::kFailFast) {
-          throw CoordinationStalled{std::move(diag)};
-        }
-        if (wd.on_stall == WatchdogConfig::OnStall::kQuarantine) {
-          // Success drains the victim's mailbox (our node included) and
-          // flips it to blocked-terminal, so the next sweep resolves it.
-          quarantine_thread(self, groups[target].owner);
-          last = ProgressFingerprint::of(remote);
-        }
-        stalled_epochs = 0;
-      }
-    }
-  }
-
-  if (deferred) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (resolved[i] || nodes[i] != nullptr) continue;
-      BatchGroup& g = groups[i];
-      g.result = coordinate(self, g.owner);
-      resolved[i] = true;
-      finish(g);
-    }
-  }
+  round_trip(self, reqs, n);
+  for (std::size_t i = 0; i < n; ++i) groups[i].result = reqs[i].result;
 }
 
 bool Runtime::coordinate_all_others(ThreadContext& self) {
+  // Windows of kMaxBatchGroups owners keep the request array on the stack
+  // for any registered-thread count; each window is one round trip.
   bool any_explicit = false;
   const ThreadId n = registry_.high_water();
-  for (ThreadId t = 0; t < n; ++t) {
-    if (t == self.id) continue;
-    if (!coordinate(self, t).implicit) any_explicit = true;
+  Request reqs[kMaxBatchGroups];
+  for (ThreadId t = 0; t < n;) {
+    std::size_t k = 0;
+    for (; t < n && k < kMaxBatchGroups; ++t) {
+      if (t != self.id) reqs[k++] = Request{t};
+    }
+    round_trip(self, reqs, k);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!reqs[i].result.implicit) any_explicit = true;
+    }
   }
   return any_explicit;
 }

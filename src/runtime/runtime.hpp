@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/spin.hpp"
 #include "runtime/thread_context.hpp"
 #include "runtime/thread_registry.hpp"
 #include "schedule/schedule_point.hpp"
@@ -263,28 +264,19 @@ class Runtime {
   // and CoordinationStalled under the kFailFast watchdog policy.
   CoordResult coordinate(ThreadContext& self, ThreadId owner);
 
-  // Batched round trip (DESIGN.md §13): one request node covering
-  // `n_objects` objects owned by `owner`, answered in a single safe-point
-  // visit (the owner drains its whole mailbox backlog alongside the scalar
-  // watermark publish). The implicit fast path is identical to coordinate();
-  // when the requester's node pool is exhausted the call degrades to a
-  // scalar round trip. Same exception surface and watchdog policing as
-  // coordinate(). Implemented as the single-group case of
-  // coordinate_batch_multi().
-  CoordResult coordinate_batch(ThreadContext& self, ThreadId owner,
-                               std::uint32_t n_objects);
-
-  // Scatter-gather batched coordination (DESIGN.md §13): one request per
-  // distinct owner, ALL posted before any wait, so the round trips overlap —
-  // total wait is bounded by the slowest owner's response, not the sum of
-  // rounds. This is what keeps a multi-owner batch's Int hold window to ~one
-  // round trip (a sequential per-owner settle convoys: peers spinning on the
-  // held Ints escalate to sleep backoff and stop responding promptly, which
-  // stretches every other in-flight round). Each group's result is filled in
-  // place. Groups whose owner is parked resolve implicitly without posting;
-  // groups that cannot claim a pool node fall back to scalar rounds after
-  // the posted ones complete. Same exception surface as coordinate(); the
-  // watchdog polices the first unresolved owner, moving on as each resolves.
+  // Scatter-gather batched coordination (DESIGN.md §13): one mailbox node
+  // per distinct owner covering that group's `n_objects` (nonzero) objects,
+  // answered in a single safe-point visit (the owner drains its whole
+  // mailbox backlog alongside the scalar watermark publish). All requests
+  // are posted before any wait, so the round trips overlap — total wait is
+  // bounded by the slowest owner's response, not the sum of rounds. This is
+  // what keeps a multi-owner batch's Int hold window to ~one round trip (a
+  // sequential per-owner settle convoys: peers spinning on the held Ints
+  // escalate their backoff and stop responding promptly, which stretches
+  // every other in-flight round). Each group's result is filled in place.
+  // Groups whose owner is parked resolve implicitly without posting; a
+  // group that cannot claim a pool node posts a scalar ticket instead. Same
+  // exception surface and watchdog policing as coordinate().
   static constexpr std::size_t kMaxBatchGroups = 16;
   struct BatchGroup {
     ThreadId owner = kNoThread;
@@ -295,7 +287,8 @@ class Runtime {
                               std::size_t n);
 
   // Conservative coordination with every other registered thread (RdSh old
-  // states, paper footnote 4). Returns true if any round trip was explicit.
+  // states, paper footnote 4): one scatter-gather round trip over all of
+  // them. Returns true if any round trip was explicit.
   bool coordinate_all_others(ThreadContext& self);
 
   // --- quarantine (resilience layer) -------------------------------------------
@@ -339,6 +332,14 @@ class Runtime {
     }
   }
 
+  // Backoff spin rounds for a wait on another registered thread: about one
+  // round trip while every live thread can have a CPU of its own, the short
+  // spin once they outnumber the CPUs (DESIGN.md §13.3).
+  int spin_rounds() const {
+    return registry_.live() <= cpus_ ? Backoff::kDefaultSpinRounds
+                                     : Backoff::kOversubscribedSpinRounds;
+  }
+
   // --- diagnostics -------------------------------------------------------------
   ThreadLivenessSample sample_thread(ThreadId id) const;
   std::vector<ThreadLivenessSample> sample_all_threads() const;
@@ -349,6 +350,25 @@ class Runtime {
     ctx.owner_side.heartbeat.store(++ctx.heartbeat,
                                    std::memory_order_relaxed);
   }
+
+  // One request of a round trip, filled in by the caller (owner, and for a
+  // batch request its object count) and answered by round_trip().
+  struct Request {
+    ThreadId owner = kNoThread;
+    std::uint32_t objects = 0;  // nonzero: batch request over this many
+    ThreadContext* remote = nullptr;  // the owner's context
+    CoordBatchNode* node = nullptr;  // posted mailbox node, else a ticket
+    std::uint64_t ticket = 0;
+    bool done = false;
+    CoordResult result{};
+  };
+
+  // The one coordination wait (DESIGN.md §4.2): posts every request (a
+  // scalar ticket, or a mailbox node for a batch request), then waits for
+  // all of them in a single loop that answers this thread's own requests,
+  // resolves parked owners implicitly, and polices the first unresolved
+  // owner with the watchdog.
+  void round_trip(ThreadContext& self, Request* reqs, std::size_t n);
 
   // Responding safe point body; precondition: scalar or batch requests
   // pending (or forced).
@@ -381,6 +401,7 @@ class Runtime {
   RuntimeConfig cfg_;
   ThreadRegistry registry_;
   FaultInjector* injector_;
+  const unsigned cpus_;
   std::atomic<std::uint32_t> g_rd_sh_counter_{1};
   std::atomic<std::uint32_t> quarantined_count_{0};
 };

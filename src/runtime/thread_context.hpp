@@ -258,6 +258,9 @@ class ThreadContext {
   std::uint64_t release_counter_relaxed() const {
     return owner_side.release_counter.load(std::memory_order_relaxed);
   }
+  std::uint64_t release_counter_acquire() const {
+    return owner_side.release_counter.load(std::memory_order_acquire);
+  }
 
   void run_flush_hook() {
     if (flush_fn != nullptr) flush_fn(flush_self, *this);

@@ -22,11 +22,13 @@ ThreadContext& ThreadRegistry::register_thread(Runtime* rt) {
   // next_id via the atomic below.
   next_id_published_.store(next_id_ + 1, std::memory_order_release);
   ++next_id_;
+  live_.fetch_add(1, std::memory_order_relaxed);
   return ctx;
 }
 
 void ThreadRegistry::mark_exited(ThreadContext& ctx) {
   ctx.exited.store(true, std::memory_order_relaxed);
+  live_.fetch_sub(1, std::memory_order_relaxed);
   // Park as blocked forever: implicit coordination always succeeds.
   std::uint64_t s = ctx.owner_side.status.load(std::memory_order_relaxed);
   if (ThreadStatus::is_quarantined(s)) return;  // already terminally parked

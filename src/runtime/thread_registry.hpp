@@ -34,6 +34,9 @@ class ThreadRegistry {
   // Number of ids handed out so far (exited threads included).
   ThreadId high_water() const;
 
+  // Registered threads that have not exited.
+  ThreadId live() const { return live_.load(std::memory_order_relaxed); }
+
   std::size_t max_threads() const { return slots_.size(); }
 
  private:
@@ -42,6 +45,7 @@ class ThreadRegistry {
   std::mutex mu_;
   ThreadId next_id_ = 0;                            // guarded by mu_
   std::atomic<ThreadId> next_id_published_{0};      // lock-free reader view
+  std::atomic<ThreadId> live_{0};
 };
 
 }  // namespace ht

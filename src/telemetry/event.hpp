@@ -49,7 +49,7 @@ enum class EventKind : std::uint16_t {
                    // arg1 = storm windows observed, arg2 = calm windows
 
   // Batched coordination (DESIGN.md §13). Emitted requester-side once per
-  // coordinate_batch, alongside that round's kCoordRoundTrip.
+  // batch group of coordinate_batch_multi, alongside its kCoordRoundTrip.
   kCoordBatch,  // arg0 = objects covered by the batch, arg1 = owner tid,
                 // arg2 = 1 if resolved implicitly (owner blocked)
 

@@ -90,7 +90,7 @@ class HybridTracker {
   // performs the stores, and returns with no safe point between the last
   // check and the stores. Each pass claims without waiting: conflicting
   // optimistic objects move to Int, partitioned by their named owner, and
-  // each owner's group is settled by ONE coordinate_batch() round trip —
+  // each owner's group is settled by ONE batched round trip —
   // that owner's one flush-and-bump covers its whole group, and each object
   // records its edge at the shared post-bump counter. While the round runs,
   // the objects this thread already owns optimistically are held in
@@ -109,7 +109,7 @@ class HybridTracker {
     const std::uint64_t wlocked = StateWord::wr_ex_wlock(ctx.id).raw();
     BatchConflict pend[kMaxStoreBatch];
     ObjectMeta* held[kMaxStoreBatch];
-    Backoff backoff;
+    Backoff backoff(rt.spin_rounds());
     bool observed = false;  // same-state stores count once, on the first pass
     for (;;) {
       // Another thread's claim in progress is waited out first, holding
@@ -360,7 +360,11 @@ class HybridTracker {
   // ceding the CPU — the holder keeps the Int across a whole coordination
   // round trip, and on oversubscribed cores a pure spin burns the
   // scheduling quantum that holder (or the owner draining a batch mailbox)
-  // needs. An Int abandoned by a quarantined thread is seized instead.
+  // needs. Unlike the coordination wait it may sleep while the holder
+  // moves: the holder's heartbeat advances at every epoch of its own round
+  // trip, and Int waiters kept awake by it made the hybrid and recorder
+  // configs slower (DESIGN.md §13.3). An Int abandoned by a quarantined
+  // thread is seized instead.
   void wait_on_int(ThreadContext& ctx, ObjectMeta& m, StateWord s, AK access,
                    Backoff& backoff) {
     observe_wait(ctx, m, s, access);
@@ -374,7 +378,7 @@ class HybridTracker {
   void store_slow(ThreadContext& ctx, ObjectMeta& m) {
     Runtime& rt = *runtime_;
     bool contended = false;
-    Backoff backoff;
+    Backoff backoff(rt.spin_rounds());
     for (;;) {
       // Quarantined victims must not lock or Int fresh states after the
       // sweep ran (DESIGN.md §11.2); park before acquiring, never after.
@@ -510,7 +514,7 @@ class HybridTracker {
   void load_slow(ThreadContext& ctx, ObjectMeta& m) {
     Runtime& rt = *runtime_;
     bool contended = false;
-    Backoff backoff;
+    Backoff backoff(rt.spin_rounds());
     for (;;) {
       rt.check_self_quarantine(ctx);
       StateWord s = m.load_state();
@@ -769,7 +773,7 @@ class HybridTracker {
   }
 
   // One conflicting optimistic object already moved to Int(self), waiting on
-  // the group's coordinate_batch round (DESIGN.md §13).
+  // the group's batched round (DESIGN.md §13).
   struct BatchConflict {
     ObjectMeta* m;
     StateWord from;

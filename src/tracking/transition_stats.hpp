@@ -48,8 +48,8 @@ struct TransitionStats {
   std::uint64_t elision_flushes = 0;
 
   // --- batched coordination (DESIGN.md §13) ---------------------------------
-  // Requester-side only: rounds answered through coordinate_batch and the
-  // objects they covered. coord_batch_rounds is a subset of
+  // Requester-side only: groups answered through coordinate_batch_multi and
+  // the objects they covered. coord_batch_rounds is a subset of
   // coordination_rounds; objects/rounds is the realized batch factor.
   std::uint64_t coord_batch_rounds = 0;
   std::uint64_t coord_batch_objects = 0;

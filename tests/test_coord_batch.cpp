@@ -31,7 +31,9 @@ TEST(CoordBatch, ImplicitAgainstBlockedOwnerCountsOneRound) {
   BlockedThread owner(rt);
   const std::uint64_t before =
       owner.ctx().owner_side.release_counter.load(std::memory_order_acquire);
-  const Runtime::CoordResult r = rt.coordinate_batch(me, owner.ctx().id, 5);
+  Runtime::BatchGroup g{owner.ctx().id, 5};
+  rt.coordinate_batch_multi(me, &g, 1);
+  const Runtime::CoordResult r = g.result;
   EXPECT_TRUE(r.implicit);
   EXPECT_GE(r.src_release, before);
   EXPECT_EQ(me.stats.coordination_rounds, 1u);
@@ -55,7 +57,9 @@ TEST(CoordBatch, ExplicitMailboxRoundStampsPostBumpCounter) {
   });
   while (!ready.load(std::memory_order_acquire)) std::this_thread::yield();
   // Owner id: contexts register in order, me == 0, owner == 1.
-  const Runtime::CoordResult r = rt.coordinate_batch(me, 1, 3);
+  Runtime::BatchGroup g{1, 3};
+  rt.coordinate_batch_multi(me, &g, 1);
+  const Runtime::CoordResult r = g.result;
   EXPECT_FALSE(r.implicit);
   EXPECT_GE(r.src_release, 1u);  // the answering flush bumped at least once
   EXPECT_EQ(me.stats.coordination_rounds, 1u);
@@ -77,11 +81,13 @@ TEST(CoordBatch, PoolExhaustionDegradesToScalarRound) {
       std::this_thread::yield();
     }
   });
-  // Exhaust the requester-side node pool so coordinate_batch cannot post.
+  // Exhaust the requester-side node pool so the batch round cannot post.
   for (auto& n : me.batch_pool.nodes) {
     n.consumed.store(false, std::memory_order_relaxed);
   }
-  const Runtime::CoordResult r = rt.coordinate_batch(me, owner.ctx().id, 4);
+  Runtime::BatchGroup g{owner.ctx().id, 4};
+  rt.coordinate_batch_multi(me, &g, 1);
+  const Runtime::CoordResult r = g.result;
   done.store(true, std::memory_order_release);
   responder.join();
   EXPECT_FALSE(r.implicit);

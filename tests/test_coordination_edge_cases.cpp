@@ -3,7 +3,9 @@
 // owners, watermark semantics, and the Int-state guard.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "test_util.hpp"
 #include "tracking/hybrid_tracker.hpp"
@@ -189,6 +191,54 @@ TEST(Coordination, ExitedThreadsNeverBlockRdShFanOut) {
   }
   EXPECT_FALSE(rt.coordinate_all_others(self));  // all implicit, immediate
   EXPECT_EQ(self.stats.coordination_rounds, 5u);
+}
+
+TEST(Coordination, AllOthersPostsEveryRequestBeforeWaiting) {
+  // Each running owner answers only once all three owners hold a pending
+  // ticket, so the fan-out completes only if it posts every request before
+  // it waits. Round trips run one after another would leave the first owner
+  // silent, and the fail-fast watchdog would throw instead of hanging.
+  constexpr int kOwners = 3;
+  RuntimeConfig cfg;
+  cfg.watchdog.stall_epochs = 1024;
+  cfg.watchdog.on_stall = WatchdogConfig::OnStall::kFailFast;
+  cfg.watchdog.sink = [](const CoordStallDiagnostic&) {};
+  Runtime rt(cfg);
+  ThreadContext& self = rt.register_thread();
+  std::atomic<int> registered{0};
+  std::atomic<bool> all_ticketed{false};
+  std::atomic<bool> finished{false};
+  std::vector<std::thread> owners;
+  for (int i = 0; i < kOwners; ++i) {
+    owners.emplace_back([&] {
+      ThreadContext& me = rt.register_thread();
+      registered.fetch_add(1);
+      while (!finished.load() && !all_ticketed.load()) {
+        bool all = registered.load() == kOwners;
+        for (ThreadId t = 1; all && t <= kOwners; ++t) {
+          all = rt.registry().context(t).requests_pending();
+        }
+        if (all) all_ticketed.store(true);
+        std::this_thread::yield();
+      }
+      while (!finished.load()) {
+        rt.poll(me);
+        std::this_thread::yield();
+      }
+      rt.unregister_thread(me);
+    });
+  }
+  while (registered.load() < kOwners) std::this_thread::yield();
+  try {
+    EXPECT_TRUE(rt.coordinate_all_others(self));
+  } catch (const CoordinationStalled& stall) {
+    ADD_FAILURE() << "T" << stall.diagnostic.owner
+                  << " never answered: a request was posted after a wait";
+  }
+  EXPECT_TRUE(all_ticketed.load());
+  EXPECT_EQ(self.stats.coordination_rounds, static_cast<std::uint64_t>(kOwners));
+  finished.store(true);
+  for (auto& t : owners) t.join();
 }
 
 }  // namespace

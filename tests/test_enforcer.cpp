@@ -395,7 +395,8 @@ TEST(RsEnforcer, RegionEndAnswersAScalarTicket) {
 TEST(RsEnforcer, RegionEndAnswersABatchMailboxNode) {
   region_end_answers(
       [](Runtime& rt, ThreadContext& self, ThreadId owner) {
-        (void)rt.coordinate_batch(self, owner, 3);
+        Runtime::BatchGroup g{owner, 3};
+        rt.coordinate_batch_multi(self, &g, 1);
       },
       [](const ThreadContext& owner) {
         return owner.batch_requests_pending();

@@ -104,6 +104,35 @@ TEST(BackoffEscalation, SleepJitterIsBoundedAndDeterministicInSeed) {
   EXPECT_TRUE(diverged) << "different seeds planned identical jitter";
 }
 
+// keep_awake() reports progress of the awaited thread: a wait past its yield
+// budget goes back to yielding instead of sleeping, and a later frozen
+// stretch spends the whole yield budget again before its first sleep, which
+// starts the ladder over at kMinSleepUs.
+TEST(BackoffEscalation, KeepAwakeHoldsTheYieldPhaseAndRestartsTheSleeps) {
+  Backoff b(/*spins_before_yield=*/2, /*yields_before_sleep=*/3,
+            /*max_sleep_us=*/160, /*jitter_seed=*/0);
+  b.keep_awake();  // still spinning: unchanged
+  Backoff::Step s = b.plan();
+  EXPECT_EQ(s.kind, Backoff::StepKind::kSpin);
+  EXPECT_EQ(s.spins, 1);
+  for (int i = 0; i < 1 + 3; ++i) b.plan();  // last spin, the yield budget
+  ASSERT_TRUE(b.sleeping());
+  EXPECT_EQ(b.plan().sleep_us, 20);
+  EXPECT_EQ(b.plan().sleep_us, 40);
+
+  b.keep_awake();
+  EXPECT_TRUE(b.yielding());
+  EXPECT_FALSE(b.sleeping());
+  for (int i = 0; i < 3; ++i) {
+    s = b.plan();
+    EXPECT_EQ(s.kind, Backoff::StepKind::kYield) << "round " << i;
+  }
+  s = b.plan();
+  EXPECT_EQ(s.kind, Backoff::StepKind::kSleep);
+  EXPECT_EQ(s.sleep_us, Backoff::kMinSleepUs);
+  EXPECT_EQ(b.plan().sleep_us, 40);
+}
+
 // --- watchdog diagnostics ------------------------------------------------------
 
 // The stall diagnostic must carry the stalled thread's liveness fingerprint:

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -152,6 +154,23 @@ TEST(Runtime, CoordinateAllOthersCoversEveryRegisteredThread) {
   BlockedThread b1(rt), b2(rt), b3(rt);
   EXPECT_FALSE(rt.coordinate_all_others(self));  // all implicit
   EXPECT_EQ(self.stats.coordination_rounds, 3u);
+}
+
+// Waits spin about a round trip only while every live thread can have a CPU
+// of its own; once registered threads outnumber the CPUs they keep the
+// short spin, and an exit brings the long spin back.
+TEST(Runtime, SpinRoundsShortenOnceThreadsOutnumberCpus) {
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  RuntimeConfig cfg;
+  cfg.max_threads = cpus + 2;
+  Runtime rt(cfg);
+  std::vector<ThreadContext*> ctxs;
+  for (unsigned i = 0; i < cpus; ++i) ctxs.push_back(&rt.register_thread());
+  EXPECT_EQ(rt.spin_rounds(), Backoff::kDefaultSpinRounds);
+  ctxs.push_back(&rt.register_thread());
+  EXPECT_EQ(rt.spin_rounds(), Backoff::kOversubscribedSpinRounds);
+  rt.unregister_thread(*ctxs.back());
+  EXPECT_EQ(rt.spin_rounds(), Backoff::kDefaultSpinRounds);
 }
 
 TEST(Runtime, RespondRunsHooksInOrder) {
