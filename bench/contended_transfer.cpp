@@ -51,13 +51,13 @@ struct TransferData {
   }
 
   template <typename Tracker>
-  void init_for_thread(Tracker& tracker, ThreadContext& ctx, ThreadId tid) {
+  void init_for_thread(Tracker& tracker, ThreadContext& ctx) {
     // Each thread initializes its home group, so the very first ring
     // takeover already crosses an ownership boundary.
     for (std::size_t i = 0; i < k; ++i) {
-      hot[tid * k + i].init(tracker, ctx, 0);
+      hot[ctx.id * k + i].init(tracker, ctx, 0);
     }
-    if (tid < priv.size()) priv[tid]->init_all(tracker, ctx, 0);
+    if (ctx.id < priv.size()) priv[ctx.id]->init_all(tracker, ctx, 0);
   }
 };
 

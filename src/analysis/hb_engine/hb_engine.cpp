@@ -282,8 +282,8 @@ RecordingAnalysisReport analyze_recording_file(const std::string& path) {
   return rep;
 }
 
-int RecordingAnalysisReport::exit_code() const {
-  if (!load.complete()) return exit_code_for(load.error);
+int RecordingAnalysisReport::exit_code(bool allow_partial) const {
+  if (const int code = load_exit_code(load, allow_partial)) return code;
   if (!lint.structure.ok()) return kExitStructure;
   // A cyclic dependence graph (or a region conflict cycle) is the most
   // specific verdict this tool can give — the recording admits no serial

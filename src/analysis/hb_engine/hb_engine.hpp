@@ -119,8 +119,9 @@ struct RecordingAnalysisReport {
   RegionSerializabilityReport rs;
   TraceAnalytics analytics;
 
-  // The trace_analyze exit code this report maps to (ToolExitCode).
-  int exit_code() const;
+  // The trace_analyze exit code this report maps to (ToolExitCode). With
+  // allow_partial a salvaged prefix is judged by its analysis verdict.
+  int exit_code(bool allow_partial = false) const;
   std::string to_string() const;
   json::Value to_json() const;
 };

@@ -46,10 +46,11 @@ class DependenceRecorder {
 
   // Conservative fan-out: one edge per other registered thread at its
   // current release counter (see HybridTracker's edge discipline note).
+  // Unclaimed slots are skipped, like a thread registering after the scan.
   void edge_all_others(ThreadContext& ctx, Runtime& rt) {
     const ThreadId n = rt.registry().high_water();
     for (ThreadId t = 0; t < n; ++t) {
-      if (t == ctx.id) continue;
+      if (t == ctx.id || !rt.registry().claimed(t)) continue;
       const auto& o = rt.registry().context(t);
       edge(ctx, t,
            o.owner_side.release_counter.load(std::memory_order_acquire));

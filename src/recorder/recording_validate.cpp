@@ -74,4 +74,9 @@ int exit_code_for(RecordingLoadError error) {
   return kExitIo;  // unreachable; conservative for corrupted enum values
 }
 
+int load_exit_code(const RecordingLoadResult& load, bool allow_partial) {
+  if (load.recording.has_value() && allow_partial) return kExitOk;
+  return exit_code_for(load.error);
+}
+
 }  // namespace ht

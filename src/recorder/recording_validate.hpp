@@ -52,7 +52,7 @@ struct FileCheckResult {
 
 FileCheckResult check_recording_file(const std::string& path);
 
-// Process exit codes shared by the recording_validate and trace_lint tools,
+// Process exit codes of trace_analyze and its validate/lint subcommands,
 // so scripts can distinguish WHY a file was rejected without parsing output.
 // Loader failures map 1:1 onto RecordingLoadError; structural and lint
 // findings get their own codes. Documented in the top-level README.
@@ -75,5 +75,10 @@ enum ToolExitCode : int {
 // Maps a loader failure to its exit code; kNone maps to kExitOk (the caller
 // then layers kExitStructure / kExitLint on top of a clean load).
 int exit_code_for(RecordingLoadError error);
+
+// The load step's verdict: the loader failure's code, except that a
+// salvaged prefix passes when the caller accepts partial files (a prefix of
+// a genuine recording is genuine, so the later checks still run on it).
+int load_exit_code(const RecordingLoadResult& load, bool allow_partial);
 
 }  // namespace ht

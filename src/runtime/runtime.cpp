@@ -28,8 +28,8 @@ Runtime::Runtime(RuntimeConfig cfg)
       injector_(cfg_.fault_injector),
       cpus_(host_cpus()) {}
 
-ThreadContext& Runtime::register_thread() {
-  ThreadContext& ctx = registry_.register_thread(this);
+ThreadContext& Runtime::register_thread(ThreadId tid) {
+  ThreadContext& ctx = registry_.register_thread(this, tid);
   if (cfg_.telemetry != nullptr) {
     ctx.telem = cfg_.telemetry->attach(ctx.id);
     HT_TELEM_EVENT(ctx, kThreadStart, ctx.point_index, 0, 0);
@@ -504,12 +504,14 @@ bool Runtime::coordinate_all_others(ThreadContext& self) {
   // Windows of kMaxBatchGroups owners keep the request array on the stack
   // for any registered-thread count; each window is one round trip.
   bool any_explicit = false;
+  // Unclaimed slots are skipped: a thread that has not registered yet
+  // holds no state, exactly like one that registers after this scan.
   const ThreadId n = registry_.high_water();
   Request reqs[kMaxBatchGroups];
   for (ThreadId t = 0; t < n;) {
     std::size_t k = 0;
     for (; t < n && k < kMaxBatchGroups; ++t) {
-      if (t != self.id) reqs[k++] = Request{t};
+      if (t != self.id && registry_.claimed(t)) reqs[k++] = Request{t};
     }
     round_trip(self, reqs, k);
     for (std::size_t i = 0; i < k; ++i) {
@@ -546,7 +548,9 @@ std::vector<ThreadLivenessSample> Runtime::sample_all_threads() const {
   std::vector<ThreadLivenessSample> v;
   const ThreadId n = registry_.high_water();
   v.reserve(n);
-  for (ThreadId t = 0; t < n; ++t) v.push_back(sample_thread(t));
+  for (ThreadId t = 0; t < n; ++t) {
+    if (registry_.claimed(t)) v.push_back(sample_thread(t));
+  }
   return v;
 }
 

@@ -146,10 +146,12 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   // --- thread lifecycle ------------------------------------------------------
-  // Registers the calling thread. Spawning a thread is itself a PSRO on the
-  // parent side (the paper lists thread fork among PSROs); callers use
-  // psro() before spawn — see workload::run_threads.
-  ThreadContext& register_thread();
+  // Registers the calling thread as `tid`: a harness passes the identity its
+  // thread body, recorder log and replayer use, so ctx.id is that identity.
+  // Without a tid the thread takes the lowest free slot. Spawning a thread
+  // is itself a PSRO on the parent side (the paper lists thread fork among
+  // PSROs); callers use psro() before spawn — see workload::run_threads.
+  ThreadContext& register_thread(ThreadId tid = kNoThread);
 
   // Final flush + release-counter bump + permanent BLOCKED parking. After
   // this every implicit coordination with the thread succeeds.

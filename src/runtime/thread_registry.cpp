@@ -1,27 +1,33 @@
 #include "runtime/thread_registry.hpp"
 
-#include <atomic>
+#include <utility>
 
 #include "common/assert.hpp"
 
 namespace ht {
 
 ThreadRegistry::ThreadRegistry(std::size_t max_threads)
-    : slots_(max_threads) {
+    : owned_(max_threads),
+      slots_(std::make_unique<std::atomic<ThreadContext*>[]>(max_threads)) {
   HT_ASSERT(max_threads >= 1 && max_threads < kMaxThreads,
             "max_threads out of range for 12-bit tid encoding");
 }
 
-ThreadContext& ThreadRegistry::register_thread(Runtime* rt) {
+ThreadContext& ThreadRegistry::register_thread(Runtime* rt, ThreadId id) {
   std::lock_guard<std::mutex> g(mu_);
-  HT_ASSERT(next_id_ < slots_.size(), "thread registry full");
-  slots_[next_id_] = std::make_unique<ThreadContext>();
-  ThreadContext& ctx = *slots_[next_id_];
-  ctx.reset(next_id_, rt);
-  // Publish (slot pointer included): high_water readers use acquire on
-  // next_id via the atomic below.
-  next_id_published_.store(next_id_ + 1, std::memory_order_release);
-  ++next_id_;
+  if (id == kNoThread) {
+    id = 0;
+    while (id < owned_.size() && owned_[id] != nullptr) ++id;
+  }
+  HT_ASSERT(id < owned_.size(), "thread registry full");
+  HT_ASSERT(owned_[id] == nullptr, "thread slot already claimed");
+  owned_[id] = std::make_unique<ThreadContext>();
+  ThreadContext& ctx = *owned_[id];
+  ctx.reset(id, rt);
+  slots_[id].store(&ctx, std::memory_order_release);
+  if (id >= high_water_.load(std::memory_order_relaxed)) {
+    high_water_.store(id + 1, std::memory_order_release);
+  }
   live_.fetch_add(1, std::memory_order_relaxed);
   return ctx;
 }
@@ -38,19 +44,14 @@ void ThreadRegistry::mark_exited(ThreadContext& ctx) {
 }
 
 ThreadContext& ThreadRegistry::context(ThreadId id) {
-  HT_ASSERT(id < next_id_published_.load(std::memory_order_acquire),
-            "thread id not registered");
-  return *slots_[id];
+  return const_cast<ThreadContext&>(std::as_const(*this).context(id));
 }
 
 const ThreadContext& ThreadRegistry::context(ThreadId id) const {
-  HT_ASSERT(id < next_id_published_.load(std::memory_order_acquire),
-            "thread id not registered");
-  return *slots_[id];
-}
-
-ThreadId ThreadRegistry::high_water() const {
-  return next_id_published_.load(std::memory_order_acquire);
+  HT_ASSERT(id < max_threads(), "thread id out of range");
+  const ThreadContext* ctx = slots_[id].load(std::memory_order_acquire);
+  HT_ASSERT(ctx != nullptr, "thread id not registered");
+  return *ctx;
 }
 
 }  // namespace ht

@@ -274,19 +274,17 @@ struct RunWorld {
   std::atomic<std::uint64_t>* op_seq = nullptr;
 };
 
-// One worker's whole run: attach, register (setup grants arrive in slot
-// order, so ThreadId == slot), execute one op per grant with footprint
-// detection, detach. ScheduleAborted unwinds a cancelled run; any program
-// locks still held are abandoned so the next run's fresh world is clean.
+// One worker's whole run: attach, register as ThreadId == slot, execute one
+// op per grant with footprint detection, detach. ScheduleAborted unwinds a
+// cancelled run; any program locks still held are abandoned so the next
+// run's fresh world is clean.
 template <typename Tracker>
 void run_thread(const RunWorld& w, Tracker& tracker, Slot slot) {
   VirtualScheduler& sched = *w.sched;
   sched.attach(slot);
   std::vector<int> held;
   try {
-    ThreadContext& ctx = w.rt->register_thread();
-    HT_ASSERT(static_cast<int>(ctx.id) == slot,
-              "setup grants must register slots in order");
+    ThreadContext& ctx = w.rt->register_thread(static_cast<ThreadId>(slot));
     tracker.attach_thread(ctx);  // installs the deferred-unlock flush hook
     if (w.rc->race_detect) w.detector->attach_thread(ctx);
     for (int o = 0; o < w.prog->objects; ++o) {

@@ -13,7 +13,8 @@
 //
 // Lifecycle per run (driven by the explorer, see explorer.hpp):
 //   worker: attach(slot)      parks; setup grants arrive in slot order so
-//                             thread registration yields slot == ThreadId
+//                             object initialization is deterministic (each
+//                             worker registers as ThreadId == slot itself)
 //   worker: setup_done(slot)  parks until every slot finished setup; then
 //                             the run phase starts and Strategy decides
 //   worker: point()/wait_point() via the shim, or annotated_point() from

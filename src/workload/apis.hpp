@@ -12,8 +12,6 @@
 // figure divides by.
 #pragma once
 
-#include <thread>
-
 #include "enforcer/rs_enforcer.hpp"
 #include "recorder/recorder.hpp"
 #include "recorder/replayer.hpp"
@@ -29,21 +27,19 @@ class DirectApi {
             DependenceRecorder* recorder = nullptr)
       : rt_(&rt), tracker_(&tracker), recorder_(recorder) {}
 
-  // Recorded threads register in tid order: the replayer runs workload
-  // thread tid against log tid (DESIGN.md §4.4).
+  // The thread registers as `tid`: the replayer runs workload thread tid
+  // against log tid (DESIGN.md §4.4).
   void begin_thread(ThreadId tid) {
-    while (recorder_ != nullptr && rt_->registry().high_water() < tid) {
-      std::this_thread::yield();
-    }
-    ctx_ = &rt_->register_thread();
+    ctx_ = &rt_->register_thread(tid);
     tracker_->attach_thread(*ctx_);
     if (recorder_ != nullptr) recorder_->attach_thread(*ctx_);
   }
   void end_thread() { rt_->unregister_thread(*ctx_); }
 
   template <typename Data>
-  void init_data(Data& data, ThreadId tid = 0) {
-    data.init_for_thread(*tracker_, *ctx_, tid);
+  void init_data(Data& data, ThreadId tid) {
+    HT_ASSERT(tid == ctx_->id, "init_data for another thread");
+    data.init_for_thread(*tracker_, *ctx_);
   }
 
   std::uint64_t load(TrackedVar<std::uint64_t>& v) {
@@ -89,15 +85,16 @@ class EnforcerApi {
   EnforcerApi(Runtime& rt, RsEnforcer<Tracker>& enforcer)
       : rt_(&rt), enforcer_(&enforcer) {}
 
-  void begin_thread(ThreadId) {
-    ctx_ = &rt_->register_thread();
+  void begin_thread(ThreadId tid) {
+    ctx_ = &rt_->register_thread(tid);
     enforcer_->attach_thread(*ctx_);  // tracker hooks + region-abort hook
   }
   void end_thread() { rt_->unregister_thread(*ctx_); }
 
   template <typename Data>
-  void init_data(Data& data, ThreadId tid = 0) {
-    data.init_for_thread(enforcer_->tracker(), *ctx_, tid);
+  void init_data(Data& data, ThreadId tid) {
+    HT_ASSERT(tid == ctx_->id, "init_data for another thread");
+    data.init_for_thread(enforcer_->tracker(), *ctx_);
   }
 
   std::uint64_t load(TrackedVar<std::uint64_t>& v) {
@@ -143,8 +140,8 @@ class ReplayApi {
   void end_thread() { rp_->at_thread_end(tid_); }
 
   template <typename Data>
-  void init_data(Data& data, ThreadId tid = 0) {
-    if (tid == 0) data.raw_reset_values();
+  void init_data(Data& data, ThreadId) {
+    if (tid_ == 0) data.raw_reset_values();
   }
 
   std::uint64_t load(TrackedVar<std::uint64_t>& v) {

@@ -93,16 +93,15 @@ class WorkloadData {
 
   // Per-thread initialization, mirroring allocation in the paper's model:
   // each object starts owned by its allocating thread (§6.2), so workload
-  // thread `tid` initializes its own private pool and thread 0 the shared
-  // pools. Called by every thread before the start barrier. The pool is
-  // chosen by `tid`, the index the thread body uses, not by `ctx.id`:
-  // threads may register with the runtime in any order.
+  // thread `ctx.id` (its runtime id is its workload tid) initializes its
+  // own private pool and thread 0 the shared pools. Called by every thread
+  // before the start barrier.
   template <typename Tracker>
-  void init_for_thread(Tracker& tracker, ThreadContext& ctx, ThreadId tid) {
-    if (tid < private_pools_.size()) {
-      for (auto& v : *private_pools_[tid]) v.init(tracker, ctx, 0);
+  void init_for_thread(Tracker& tracker, ThreadContext& ctx) {
+    if (ctx.id < private_pools_.size()) {
+      for (auto& v : *private_pools_[ctx.id]) v.init(tracker, ctx, 0);
     }
-    if (tid == 0) {
+    if (ctx.id == 0) {
       for (auto& v : general_) v.init(tracker, ctx, 0);
       for (auto& v : readshare_) v.init(tracker, ctx, 0);
       for (auto& v : hot_) v.init(tracker, ctx, 0);

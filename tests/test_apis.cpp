@@ -3,6 +3,10 @@
 // replay, enforcer access counting, and stats plumbing.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "tracking/hybrid_tracker.hpp"
 #include "tracking/null_tracker.hpp"
 #include "workload/apis.hpp"
@@ -125,6 +129,75 @@ TEST(RunThreads, MergesStatsAndChecksums) {
   EXPECT_EQ(r.checksums[0], 100u);
   EXPECT_EQ(r.checksums[2], 102u);
   EXPECT_GE(r.seconds, 0.0);
+}
+
+// Starts threads in reverse tid order: thread tid registers only after every
+// higher tid has, so a registry that handed out ids in arrival order would
+// give every thread the wrong id.
+template <typename Api>
+class ReverseStartApi : public Api {
+ public:
+  ReverseStartApi(Api api, std::atomic<int>* started,
+                  std::vector<ThreadId>* ids)
+      : Api(std::move(api)), started_(started), ids_(ids) {}
+  void begin_thread(ThreadId tid) {
+    const int later = static_cast<int>(ids_->size() - 1 - tid);
+    while (started_->load(std::memory_order_acquire) != later) {
+      std::this_thread::yield();
+    }
+    Api::begin_thread(tid);
+    (*ids_)[tid] = this->context().id;
+    started_->fetch_add(1, std::memory_order_release);
+  }
+
+ private:
+  std::atomic<int>* started_;
+  std::vector<ThreadId>* ids_;
+};
+
+// Runs a small workload whose threads start in reverse tid order and
+// returns each thread's runtime id. init_data checks its tid against the
+// runtime id, and the private pool of tid must end up owned by tid.
+template <typename MakeApi>
+std::vector<ThreadId> ids_of_reverse_starts(MakeApi&& make_api) {
+  WorkloadConfig cfg;
+  cfg.threads = 4;
+  cfg.private_objects = 4;
+  cfg.general_objects = 4;
+  cfg.readshare_objects = 4;
+  cfg.hot_objects = 2;
+  WorkloadData data(cfg);
+  std::atomic<int> started{0};
+  std::vector<ThreadId> ids(static_cast<std::size_t>(cfg.threads), kNoThread);
+  (void)run_threads(
+      cfg.threads,
+      [&](ThreadId) {
+        return ReverseStartApi<decltype(make_api())>(make_api(), &started,
+                                                     &ids);
+      },
+      [&](auto& api, ThreadId tid) { api.init_data(data, tid); },
+      [](auto&, ThreadId) { return std::uint64_t{0}; });
+  for (ThreadId t = 0; t < ids.size(); ++t) {
+    EXPECT_EQ(data.private_obj(t, 0).meta().load_state().tid(), t);
+  }
+  return ids;
+}
+
+TEST(ApiIdentity, DirectApiRegistersEachThreadAsItsTid) {
+  Runtime rt;
+  HybridTracker<> tracker(rt, HybridConfig{});
+  const std::vector<ThreadId> ids = ids_of_reverse_starts(
+      [&] { return DirectApi<HybridTracker<>>(rt, tracker); });
+  for (ThreadId t = 0; t < ids.size(); ++t) EXPECT_EQ(ids[t], t);
+}
+
+TEST(ApiIdentity, EnforcerApiRegistersEachThreadAsItsTid) {
+  Runtime rt;
+  HybridTracker<> tracker(rt, HybridConfig{});
+  RsEnforcer<HybridTracker<>> enf(rt, tracker);
+  const std::vector<ThreadId> ids = ids_of_reverse_starts(
+      [&] { return EnforcerApi<HybridTracker<>>(rt, enf); });
+  for (ThreadId t = 0; t < ids.size(); ++t) EXPECT_EQ(ids[t], t);
 }
 
 }  // namespace

@@ -335,11 +335,11 @@ TEST(CoordBatch, BatchedRecordingValidatesLintsAnalyzesAndReplays) {
   const Recording recording =
       recorder.take_recording(static_cast<ThreadId>(cfg.threads));
 
-  // recording_validate: structurally well-formed.
+  // trace_analyze validate: structurally well-formed.
   const ValidationResult v = validate_recording(recording);
   EXPECT_TRUE(v.ok()) << v.to_string();
 
-  // trace_lint + trace_analyze equivalents over the saved file.
+  // trace_analyze lint + analysis equivalents over the saved file.
   const std::string path =
       ::testing::TempDir() + "coord_batch_recording.bin";
   ASSERT_TRUE(save_recording(recording, path));

@@ -84,8 +84,8 @@ TEST(RsEnforcer, WithoutEnforcerRacyIncrementsLoseUpdates) {
 struct XyData {
   TrackedVar<std::uint64_t> x, y;
   template <typename T>
-  void init_for_thread(T& trk, ThreadContext& ctx, ThreadId tid) {
-    if (tid != 0) return;
+  void init_for_thread(T& trk, ThreadContext& ctx) {
+    if (ctx.id != 0) return;
     x.init(trk, ctx, 0);
     y.init(trk, ctx, 0);
   }

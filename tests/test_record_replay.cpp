@@ -158,7 +158,7 @@ TEST(RecordReplay, SingleThreadedRecordingHasNoEdges) {
 }
 
 // Delays each thread's registration by its distance from the last tid, so
-// without ordering the runtime would hand out ids in reverse tid order.
+// a registry that handed out ids in arrival order would reverse them.
 template <typename Tracker>
 class LateLowTidsApi : public DirectApi<Tracker> {
  public:

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "recorder/recorder.hpp"
 #include "test_util.hpp"
 
 namespace ht {
@@ -25,6 +26,59 @@ TEST(ThreadRegistry, AssignsDenseIds) {
   EXPECT_EQ(b.id, 1u);
   EXPECT_EQ(rt.registry().high_water(), 2u);
   EXPECT_EQ(&rt.registry().context(1), &b);
+}
+
+// A harness registers each thread as its own tid, in whatever order the
+// threads start; the no-argument form fills the lowest free slot.
+TEST(ThreadRegistry, ClaimsRequestedSlotsInAnyOrder) {
+  Runtime rt;
+  ThreadContext& c = rt.register_thread(2);
+  EXPECT_EQ(c.id, 2u);
+  EXPECT_EQ(rt.registry().high_water(), 3u);
+  EXPECT_FALSE(rt.registry().claimed(0));
+  ThreadContext& a = rt.register_thread(0);
+  ThreadContext& b = rt.register_thread(1);
+  EXPECT_EQ(a.id, 0u);
+  EXPECT_EQ(b.id, 1u);
+  EXPECT_EQ(rt.registry().high_water(), 3u);
+  EXPECT_EQ(&rt.registry().context(2), &c);
+  EXPECT_EQ(rt.register_thread().id, 3u);
+
+  Runtime gap;
+  EXPECT_EQ(gap.register_thread(1).id, 1u);
+  EXPECT_EQ(gap.register_thread().id, 0u);
+  EXPECT_EQ(gap.register_thread().id, 2u);
+}
+
+TEST(ThreadRegistry, ClaimingATakenSlotDies) {
+  Runtime rt;
+  (void)rt.register_thread(0);
+  EXPECT_DEATH((void)rt.register_thread(0), "thread slot already claimed");
+}
+
+// Slot 1 is not claimed yet (its thread has not started): the scans over
+// 0..high_water() skip it, as they would a thread registering after them.
+TEST(ThreadRegistry, ScansSkipUnclaimedSlots) {
+  Runtime rt;
+  ThreadContext& self = rt.register_thread(2);
+  BlockedThread b0(rt);
+  ASSERT_EQ(b0.ctx().id, 0u);
+  ASSERT_FALSE(rt.registry().claimed(1));
+
+  EXPECT_FALSE(rt.coordinate_all_others(self));  // slot 0: implicit
+  EXPECT_EQ(self.stats.coordination_rounds, 1u);
+
+  const std::vector<ThreadLivenessSample> samples = rt.sample_all_threads();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].id, 0u);
+  EXPECT_EQ(samples[1].id, 2u);
+
+  DependenceRecorder recorder(rt);
+  recorder.edge_all_others(self, rt);
+  const Recording r = recorder.take_recording(3);
+  ASSERT_EQ(r.threads[2].events.size(), 1u);
+  EXPECT_EQ(r.threads[2].events[0].src, 0u);
+  EXPECT_EQ(r.total_edges(), 1u);
 }
 
 TEST(ThreadRegistry, FastPathWordsMatchIds) {

@@ -42,8 +42,8 @@ TEST(WorkloadData, InitForThreadSplitsOwnership) {
   ThreadContext& t0 = rt.register_thread();
   ThreadContext& t1 = rt.register_thread();
 
-  data.init_for_thread(trk, t0, 0);
-  data.init_for_thread(trk, t1, 1);
+  data.init_for_thread(trk, t0);
+  data.init_for_thread(trk, t1);
 
   // Shared pools owned by thread 0; each private pool by its thread.
   EXPECT_EQ(data.general(3).meta().load_state().tid(), t0.id);
@@ -59,11 +59,11 @@ TEST(WorkloadData, PrivatePoolFollowsWorkloadTidNotRuntimeId) {
   WorkloadData data(cfg);
   Runtime rt;
   OptimisticTracker<> trk(rt);
-  ThreadContext& first = rt.register_thread();   // workload thread 1
-  ThreadContext& second = rt.register_thread();  // workload thread 0
+  ThreadContext& first = rt.register_thread(1);   // workload thread 1
+  ThreadContext& second = rt.register_thread(0);  // workload thread 0
 
-  data.init_for_thread(trk, first, 1);
-  data.init_for_thread(trk, second, 0);
+  data.init_for_thread(trk, first);
+  data.init_for_thread(trk, second);
 
   EXPECT_EQ(data.private_obj(1, 2).meta().load_state().tid(), first.id);
   EXPECT_EQ(data.private_obj(0, 2).meta().load_state().tid(), second.id);

@@ -1,19 +1,28 @@
-// trace_analyze: the offline happens-before engine's CLI (DESIGN.md §12).
-// Loads a recording (v1 or v2, salvaged prefixes included), reconstructs the
-// happens-before partial order from dependence edges + release-counter
-// stamps, and reports:
+// trace_analyze: offline checks of recording files (v1 or v2, salvaged
+// prefixes included).
 //
-//   * the trace lint verdict (shared with trace_lint),
-//   * HB acyclicity and critical-path length,
-//   * region serializability (conflict cycles among enforcer regions),
-//   * dependence-graph analytics, exportable as JSON (--json).
+//   trace_analyze validate [--allow-partial] <recording.bin>
+//     structural well-formedness only (recorder/recording_validate.hpp), the
+//     same validation the replayer relies on; exits 0-7.
+//   trace_analyze lint [--allow-partial] <recording.bin>
+//     adds the cross-thread dependence checks (analysis/trace_lint.hpp):
+//     release-counter stamps strictly increasing per thread, edge values
+//     non-decreasing per (sink, source) pair, the dependence graph acyclic;
+//     exits 0-8.
+//   trace_analyze [options] <recording.bin>
+//     the offline happens-before engine (DESIGN.md §12): reconstructs the
+//     happens-before partial order from dependence edges + release-counter
+//     stamps, and reports the lint verdict, HB acyclicity and critical-path
+//     length, region serializability (conflict cycles among enforcer
+//     regions) and dependence-graph analytics, exportable as JSON.
 //
-// Exit codes extend the shared ToolExitCode values (see README.md): 0 OK,
+// Exit codes are the shared ToolExitCode values (see README.md): 0 OK,
 // 1 usage, 2 bad magic, 3 bad version, 4 truncated, 5 checksum mismatch,
 // 6 I/O error, 7 structural validation failure, 8 lint failure,
 // 9 region-serializability violation (conflict cycle among regions).
+// Salvaged-prefix files exit 4 or 5 unless --allow-partial accepts them.
 //
-//   build/tools/trace_analyze [options] <recording.bin>
+//   options of the analysis:
 //     --json FILE        write the full analysis report as JSON
 //     --bench FILE       write a BENCH_*.json throughput report (events/sec)
 //     --allow-partial    accept a salvaged v2 prefix
@@ -29,6 +38,7 @@
 #include <string>
 
 #include "analysis/hb_engine/hb_engine.hpp"
+#include "analysis/trace_lint.hpp"
 #include "recorder/recording_io.hpp"
 #include "recorder/recording_validate.hpp"
 
@@ -38,12 +48,33 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: trace_analyze [options] <recording.bin>\n"
+      "       trace_analyze validate [--allow-partial] <recording.bin>\n"
+      "       trace_analyze lint [--allow-partial] <recording.bin>\n"
       "  --json FILE           write the analysis report as JSON\n"
       "  --bench FILE          write an events/sec benchmark report\n"
-      "  --allow-partial       accept a salvaged v2 prefix\n"
+      "  --allow-partial       accept a salvaged v2 prefix (the checks\n"
+      "                        still run on the recovered events)\n"
       "  --make-violation FILE write a recording with an injected\n"
       "                        serializability violation and exit\n");
   return ht::kExitUsage;
+}
+
+// `validate`: structural checks only.
+int validate(const std::string& path, bool allow_partial) {
+  const ht::FileCheckResult r = ht::check_recording_file(path);
+  std::printf("%s: %s\n", path.c_str(), r.to_string().c_str());
+  if (const int code = ht::load_exit_code(r.load, allow_partial)) return code;
+  return r.structure.ok() ? ht::kExitOk : ht::kExitStructure;
+}
+
+// `lint`: structural checks plus the cross-thread dependence checks.
+int lint(const std::string& path, bool allow_partial) {
+  const ht::analysis::FileLintResult r =
+      ht::analysis::lint_recording_file(path);
+  std::printf("%s: %s\n", path.c_str(), r.to_string().c_str());
+  if (const int code = ht::load_exit_code(r.load, allow_partial)) return code;
+  if (!r.lint.structure.ok()) return ht::kExitStructure;
+  return r.lint.issues.empty() ? ht::kExitOk : ht::kExitLint;
 }
 
 // Two threads, each logging a dependence on the other's first bump BEFORE
@@ -79,25 +110,36 @@ bool write_file(const std::string& path, const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  enum class Mode { kAnalyze, kValidate, kLint } mode = Mode::kAnalyze;
+  int first = 1;
+  if (argc > 1 && std::strcmp(argv[1], "validate") == 0) {
+    mode = Mode::kValidate;
+    first = 2;
+  } else if (argc > 1 && std::strcmp(argv[1], "lint") == 0) {
+    mode = Mode::kLint;
+    first = 2;
+  }
+  const bool analyze = mode == Mode::kAnalyze;
   std::string path, json_out, bench_out, violation_out;
   bool allow_partial = false;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = first; i < argc; ++i) {
     const auto arg_value = [&](const char* flag) -> const char* {
       if (std::strcmp(argv[i], flag) != 0) return nullptr;
       if (i + 1 >= argc) return "";
       return argv[++i];
     };
-    if (const char* v = arg_value("--json")) {
+    const char* v = nullptr;
+    if (std::strcmp(argv[i], "--allow-partial") == 0) {
+      allow_partial = true;
+    } else if (analyze && (v = arg_value("--json")) != nullptr) {
       if (*v == '\0') return usage();
       json_out = v;
-    } else if (const char* b = arg_value("--bench")) {
-      if (*b == '\0') return usage();
-      bench_out = b;
-    } else if (const char* m = arg_value("--make-violation")) {
-      if (*m == '\0') return usage();
-      violation_out = m;
-    } else if (std::strcmp(argv[i], "--allow-partial") == 0) {
-      allow_partial = true;
+    } else if (analyze && (v = arg_value("--bench")) != nullptr) {
+      if (*v == '\0') return usage();
+      bench_out = v;
+    } else if (analyze && (v = arg_value("--make-violation")) != nullptr) {
+      if (*v == '\0') return usage();
+      violation_out = v;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "trace_analyze: unknown option '%s'\n", argv[i]);
       return ht::kExitUsage;
@@ -110,6 +152,8 @@ int main(int argc, char** argv) {
   }
   if (!violation_out.empty()) return make_violation(violation_out);
   if (path.empty()) return usage();
+  if (mode == Mode::kValidate) return validate(path, allow_partial);
+  if (mode == Mode::kLint) return lint(path, allow_partial);
 
   const ht::analysis::RecordingAnalysisReport rep =
       ht::analysis::analyze_recording_file(path);
@@ -157,24 +201,5 @@ int main(int argc, char** argv) {
                 events, reps, elapsed, events_per_sec);
   }
 
-  // A salvaged prefix still analyzes (a prefix of a genuine recording is
-  // genuine), but scripts must opt in to treating it as acceptable.
-  if (!rep.load.recording.has_value()) {
-    return ht::exit_code_for(rep.load.error);
-  }
-  if (!rep.load.complete() && !allow_partial) {
-    return ht::exit_code_for(rep.load.error);
-  }
-  const int code = rep.exit_code();
-  // exit_code() folds the load error back in; when --allow-partial accepted
-  // the prefix, report the analysis verdict instead.
-  if (!rep.load.complete() && allow_partial) {
-    if (!rep.lint.structure.ok()) return ht::kExitStructure;
-    if (!rep.hb_acyclic || !rep.rs.serializable) {
-      return ht::kExitUnserializable;
-    }
-    if (!rep.lint.ok()) return ht::kExitLint;
-    return ht::kExitOk;
-  }
-  return code;
+  return rep.exit_code(allow_partial);
 }
