@@ -100,29 +100,20 @@ RegionSerializabilityReport check_region_serializability(const Trace& trace,
     }
     region_count[t] = trace.threads[t].empty() ? 0 : region_of[t].back() + 1;
   }
-  std::vector<std::size_t> offset(n + 1, 0);
-  for (std::size_t t = 0; t < n; ++t) offset[t + 1] = offset[t] + region_count[t];
-  const std::size_t regions = offset[n];
-  rep.regions = regions;
+  for (std::size_t c : region_count) rep.regions += c;
 
-  std::vector<std::vector<std::size_t>> succ(regions);
-  std::vector<std::size_t> indegree(regions, 0);
-  const auto add_arc = [&](std::size_t u, std::size_t v) {
-    if (u == v) return;
-    succ[u].push_back(v);
-    ++indegree[v];
+  // Region-level arcs; program order between a thread's regions is implicit
+  // in the sweep, and an arc inside one region orders nothing.
+  const auto region = [&](NodeRef e) {
+    return NodeRef{e.thread, region_of[e.thread][e.index]};
   };
-
-  // Program order between a thread's consecutive regions.
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t r = 0; r + 1 < region_count[t]; ++r) {
-      add_arc(offset[t] + r, offset[t] + r + 1);
-    }
-  }
+  std::vector<HbArc> arcs;
+  const auto add_arc = [&](NodeRef from, NodeRef to) {
+    if (!(region(from) == region(to))) arcs.push_back({region(from), region(to)});
+  };
   // Event-graph cross arcs, projected onto regions.
   for (const HbOrder::Arc& a : hb.cross_arcs()) {
-    add_arc(offset[a.from.thread] + region_of[a.from.thread][a.from.index],
-            offset[a.to.thread] + region_of[a.to.thread][a.to.index]);
+    add_arc(a.from, a.to);
     ++rep.region_arcs;
   }
   // Observed-order conflict arcs between regions (annotated traces): two
@@ -140,37 +131,22 @@ RegionSerializabilityReport check_region_serializability(const Trace& trace,
           const AccessRef& b = accesses[j];
           if (a.node.thread == b.node.thread) continue;
           if (!a.write && !b.write) continue;
-          add_arc(
-              offset[a.node.thread] + region_of[a.node.thread][a.node.index],
-              offset[b.node.thread] + region_of[b.node.thread][b.node.index]);
+          add_arc(a.node, b.node);
           ++rep.conflict_arcs;
         }
       }
     }
   }
 
-  // Kahn: a serial region order exists iff the graph is acyclic.
-  std::vector<std::size_t> ready;
-  std::vector<std::size_t> remaining = indegree;
-  for (std::size_t u = 0; u < regions; ++u) {
-    if (remaining[u] == 0) ready.push_back(u);
-  }
-  std::size_t sorted = 0;
-  while (!ready.empty()) {
-    const std::size_t u = ready.back();
-    ready.pop_back();
-    ++sorted;
-    for (std::size_t v : succ[u]) {
-      if (--remaining[v] == 0) ready.push_back(v);
-    }
-  }
-  if (sorted != regions) {
+  // A serial region order exists iff the region graph is acyclic.
+  CursorSweep sweep(region_count);
+  sweep.run_over_arcs(arcs, [](ThreadId, std::size_t, auto) {});
+  if (sweep.left() != 0) {
     rep.serializable = false;
     for (std::size_t t = 0; t < n; ++t) {
-      for (std::size_t r = 0; r < region_count[t]; ++r) {
-        if (remaining[offset[t] + r] > 0) {
-          rep.violating.push_back(RegionRef{static_cast<ThreadId>(t), r});
-        }
+      for (std::size_t r = sweep.cursor(static_cast<ThreadId>(t));
+           r < region_count[t]; ++r) {
+        rep.violating.push_back(RegionRef{static_cast<ThreadId>(t), r});
       }
     }
   }

@@ -2,41 +2,55 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 namespace ht::analysis {
 
-NodeRef HbOrder::unflat(std::size_t id) const {
-  // offsets_ is small (one entry per thread); linear scan is fine.
-  ThreadId t = 0;
-  while (t + 1 < offsets_.size() - 1 && offsets_[t + 1] <= id) ++t;
-  return NodeRef{t, id - offsets_[t]};
+CursorSweep::CursorSweep(std::vector<std::size_t> lengths)
+    : length_(std::move(lengths)), cursor_(length_.size(), 0) {}
+
+std::size_t CursorSweep::left() const {
+  std::size_t n = 0;
+  for (std::size_t t = 0; t < cursor_.size(); ++t) n += length_[t] - cursor_[t];
+  return n;
+}
+
+std::optional<NodeRef> CursorSweep::first_left() const {
+  for (std::size_t t = 0; t < cursor_.size(); ++t) {
+    if (cursor_[t] < length_[t]) {
+      return NodeRef{static_cast<ThreadId>(t), cursor_[t]};
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<std::vector<std::size_t>> CursorSweep::arcs_into(
+    const std::vector<HbArc>& arcs) const {
+  std::vector<std::vector<std::size_t>> into(length_.size());
+  for (std::size_t k = 0; k < arcs.size(); ++k) {
+    into[arcs[k].to.thread].push_back(k);
+  }
+  for (auto& in : into) {
+    std::stable_sort(in.begin(), in.end(), [&](std::size_t a, std::size_t b) {
+      return arcs[a].to.index < arcs[b].to.index;
+    });
+  }
+  return into;
 }
 
 HbOrder HbOrder::build(const Trace& trace) {
   HbOrder o;
   const std::size_t n = trace.thread_count();
+  std::vector<std::size_t> lengths(n);
   o.offsets_.assign(n + 1, 0);
   for (std::size_t t = 0; t < n; ++t) {
-    o.offsets_[t + 1] = o.offsets_[t] + trace.threads[t].size();
+    lengths[t] = trace.threads[t].size();
+    o.offsets_[t + 1] = o.offsets_[t] + lengths[t];
   }
   o.nodes_ = o.offsets_[n];
 
-  std::vector<std::vector<std::size_t>> succ(o.nodes_);
-  std::vector<std::size_t> indegree(o.nodes_, 0);
-  const auto add_arc = [&](std::size_t u, std::size_t v) {
-    succ[u].push_back(v);
-    ++indegree[v];
-  };
-
-  // Program order.
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t i = 0; i + 1 < trace.threads[t].size(); ++i) {
-      add_arc(o.offsets_[t] + i, o.offsets_[t] + i + 1);
-    }
-  }
-
   // Stamped bumps per thread, in program order (stamps of a genuine trace
-  // are strictly increasing; the lint checks that before building).
+  // are strictly increasing; the lint checks that before its own sweep).
   std::vector<std::vector<std::size_t>> bump_index(n);
   std::vector<std::vector<std::uint64_t>> bump_stamp(n);
   for (std::size_t t = 0; t < n; ++t) {
@@ -60,8 +74,6 @@ HbOrder HbOrder::build(const Trace& trace) {
       auto it = std::upper_bound(stamps.begin(), stamps.end(), e.value);
       if (it == stamps.begin()) continue;  // satisfied by unlogged bumps
       const std::size_t j = bump_index[e.src][(it - stamps.begin()) - 1];
-      add_arc(o.offsets_[e.src] + j, o.offsets_[t] + i);
-      ++o.cross_arcs_;
       o.cross_list_.push_back({NodeRef{e.src, j},
                                NodeRef{static_cast<ThreadId>(t), i}});
     }
@@ -72,7 +84,7 @@ HbOrder HbOrder::build(const Trace& trace) {
   if (trace.annotated) {
     struct LockEvent {
       std::uint64_t seq;
-      std::size_t node;
+      NodeRef node;
       bool release;
     };
     std::map<int, std::vector<LockEvent>> per_lock;
@@ -82,7 +94,7 @@ HbOrder HbOrder::build(const Trace& trace) {
         if (e.kind == TraceEventKind::kAcquire ||
             e.kind == TraceEventKind::kRelease) {
           per_lock[e.lock].push_back(
-              {e.seq, o.offsets_[t] + i,
+              {e.seq, NodeRef{static_cast<ThreadId>(t), i},
                e.kind == TraceEventKind::kRelease});
         }
       }
@@ -96,10 +108,7 @@ HbOrder HbOrder::build(const Trace& trace) {
         if (!evs[k].release) continue;
         for (std::size_t m = k + 1; m < evs.size(); ++m) {
           if (!evs[m].release) {
-            add_arc(evs[k].node, evs[m].node);
-            ++o.cross_arcs_;
-            o.cross_list_.push_back(
-                {o.unflat(evs[k].node), o.unflat(evs[m].node)});
+            o.cross_list_.push_back({evs[k].node, evs[m].node});
             break;
           }
         }
@@ -107,39 +116,33 @@ HbOrder HbOrder::build(const Trace& trace) {
     }
   }
 
-  // Kahn sort; vector clocks and chain depths computed along the way (every
-  // predecessor is finalized before its successors pop).
+  // Clocks and chain depths are computed at each visit from the thread
+  // predecessor and the cross predecessors, all visited before.
   o.clocks_.assign(o.nodes_, VectorClock(n));
   std::vector<std::size_t> depth(o.nodes_, 0);
-  std::vector<std::size_t> ready;
-  std::vector<std::size_t> remaining = indegree;
-  for (std::size_t u = 0; u < o.nodes_; ++u) {
-    if (remaining[u] == 0) ready.push_back(u);
-  }
-  std::size_t sorted = 0;
-  while (!ready.empty()) {
-    const std::size_t u = ready.back();
-    ready.pop_back();
-    ++sorted;
-    const NodeRef r = o.unflat(u);
-    o.clocks_[u].set(r.thread, r.index + 1);
-    depth[u] += 1;
-    o.critical_path_ = std::max(o.critical_path_, depth[u]);
-    for (std::size_t v : succ[u]) {
-      o.clocks_[v].join(o.clocks_[u]);
-      depth[v] = std::max(depth[v], depth[u]);
-      if (--remaining[v] == 0) ready.push_back(v);
-    }
-  }
-  o.unsorted_ = o.nodes_ - sorted;
+  CursorSweep sweep(std::move(lengths));
+  sweep.run_over_arcs(
+      o.cross_list_,
+      [&](ThreadId t, std::size_t i, std::span<const std::size_t> in) {
+        const std::size_t u = o.offsets_[t] + i;
+        std::size_t d = 0;
+        if (i > 0) {
+          o.clocks_[u] = o.clocks_[u - 1];
+          d = depth[u - 1];
+        }
+        for (std::size_t k : in) {
+          const std::size_t p = o.flat(o.cross_list_[k].from);
+          o.clocks_[u].join(o.clocks_[p]);
+          d = std::max(d, depth[p]);
+        }
+        o.clocks_[u].set(t, i + 1);
+        depth[u] = d + 1;
+        o.critical_path_ = std::max(o.critical_path_, depth[u]);
+      });
+  o.unsorted_ = sweep.left();
   if (o.unsorted_ != 0) {
     o.critical_path_ = 0;  // meaningless through a cycle
-    for (std::size_t u = 0; u < o.nodes_; ++u) {
-      if (remaining[u] > 0) {
-        o.first_cyclic_ = o.unflat(u);
-        break;
-      }
-    }
+    o.first_cyclic_ = sweep.first_left();
   }
   return o;
 }

@@ -17,16 +17,20 @@
 //         — exactly the sync the runtime FastTrack detector tracks, so the
 //         offline and runtime HB relations agree by construction.
 //
-// A Kahn topological sort proves acyclicity (a genuine trace's graph embeds
-// in real time, so a cycle proves corruption — or, at region granularity, a
-// serializability violation). Per-event vector clocks are then computed once
-// in topological order, making every subsequent happens_before query an O(1)
-// component comparison: clock(e)[t] counts the events of thread t ordered
-// at-or-before e, so a strictly-before b iff clock(b)[a.thread] > a.index.
+// A cursor sweep (CursorSweep below) proves acyclicity without building
+// successor lists: program order is the cursor itself, and each event is
+// visited once its cross-thread predecessors are (a genuine trace's graph
+// embeds in real time, so an event that can never be visited proves
+// corruption — or, at region granularity, a serializability violation).
+// Per-event vector clocks are computed at each visit, making every
+// subsequent happens_before query an O(1) component comparison:
+// clock(e)[t] counts the events of thread t ordered at-or-before e, so
+// a strictly-before b iff clock(b)[a.thread] > a.index.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/hb_engine/hb_trace.hpp"
@@ -42,18 +46,98 @@ struct NodeRef {
   bool operator==(const NodeRef&) const = default;
 };
 
+// A cross-thread arc: `from` is ordered before `to`.
+struct HbArc {
+  NodeRef from;
+  NodeRef to;
+};
+
+// Topological visit of per-thread event lists with one cursor per thread.
+// A thread's cursor advances while `ready(t, i)` says every cross-thread
+// predecessor of its next event i lies behind its own thread's cursor
+// (visited()); program order needs no check. Passes over the threads repeat
+// until one moves no cursor. The events left are exactly those a Kahn sort
+// leaves unsorted — the ones with an ancestor on a cycle — and the sweep's
+// own state is one cursor per thread, whatever the event count.
+class CursorSweep {
+ public:
+  explicit CursorSweep(std::vector<std::size_t> lengths);
+
+  // `ready(t, i)` may be asked more than once per event; `visit(t, i)` runs
+  // once per visited event, after every predecessor's visit.
+  template <class Ready, class Visit>
+  void run(Ready&& ready, Visit&& visit) {
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (ThreadId t = 0; t < cursor_.size(); ++t) {
+        while (cursor_[t] < length_[t] && ready(t, cursor_[t])) {
+          visit(t, cursor_[t]);
+          ++cursor_[t];
+          moved = true;
+        }
+      }
+    }
+  }
+
+  // run() with the cross-thread predecessors given as arcs. An event is
+  // ready once the source of every arc into it is visited; a malformed
+  // input may aim several arcs at one event, and all of them count.
+  // `visit(t, i, in)` gets the indices into `arcs` of the arcs into (t, i).
+  template <class Visit>
+  void run_over_arcs(const std::vector<HbArc>& arcs, Visit&& visit) {
+    const std::vector<std::vector<std::size_t>> into = arcs_into(arcs);
+    std::vector<std::size_t> next(into.size(), 0);  // first arc not consumed
+    const auto arcs_end = [&](ThreadId t, std::size_t i) {
+      std::size_t k = next[t];
+      while (k < into[t].size() && arcs[into[t][k]].to.index == i) ++k;
+      return k;
+    };
+    run(
+        [&](ThreadId t, std::size_t i) {
+          for (std::size_t k = next[t], end = arcs_end(t, i); k < end; ++k) {
+            if (!visited(arcs[into[t][k]].from)) return false;
+          }
+          return true;
+        },
+        [&](ThreadId t, std::size_t i) {
+          const std::size_t end = arcs_end(t, i);
+          visit(t, i,
+                std::span<const std::size_t>(into[t]).subspan(
+                    next[t], end - next[t]));
+          next[t] = end;
+        });
+  }
+
+  std::size_t cursor(ThreadId t) const { return cursor_[t]; }
+  bool visited(NodeRef n) const { return n.index < cursor_[n.thread]; }
+  // Events never visited (0 iff the graph is acyclic).
+  std::size_t left() const;
+  // The cursor of the lowest thread with events left: the node Kahn's
+  // lowest-id scan reports. Empty when everything was visited.
+  std::optional<NodeRef> first_left() const;
+
+ private:
+  // Indices into `arcs` per target thread, in the target's program order.
+  std::vector<std::vector<std::size_t>> arcs_into(
+      const std::vector<HbArc>& arcs) const;
+
+  std::vector<std::size_t> length_;
+  std::vector<std::size_t> cursor_;
+};
+
 class HbOrder {
  public:
-  // Builds the event graph, runs the topological sort, and (when acyclic)
-  // computes the per-event vector clocks. The trace must outlive the order.
+  // Collects the cross-thread arcs, runs the cursor sweep, and computes the
+  // per-event vector clocks of every visited event. The trace must outlive
+  // the order.
   static HbOrder build(const Trace& trace);
 
   bool acyclic() const { return unsorted_ == 0; }
   std::size_t node_count() const { return nodes_; }
-  std::size_t cross_arc_count() const { return cross_arcs_; }
+  std::size_t cross_arc_count() const { return cross_list_.size(); }
   std::size_t unsorted_count() const { return unsorted_; }
-  // A node stuck in a cycle (lowest thread, then program order) — the lint's
-  // diagnosability anchor. Empty when acyclic.
+  // A node stuck in a cycle (lowest thread, then program order). Empty when
+  // acyclic.
   std::optional<NodeRef> first_cyclic() const { return first_cyclic_; }
 
   // Strict happens-before between two events. Meaningful only on acyclic
@@ -78,25 +162,20 @@ class HbOrder {
   // The cross-thread arcs (dependence anchors + lock sync), for analyses
   // that need the graph itself rather than the order it induces (the region
   // serializability checker maps these onto enforcer regions).
-  struct Arc {
-    NodeRef from;
-    NodeRef to;
-  };
+  using Arc = HbArc;
   const std::vector<Arc>& cross_arcs() const { return cross_list_; }
 
  private:
   std::size_t flat(NodeRef n) const {
     return offsets_[n.thread] + n.index;
   }
-  NodeRef unflat(std::size_t id) const;
 
   std::size_t nodes_ = 0;
-  std::size_t cross_arcs_ = 0;
   std::size_t unsorted_ = 0;
   std::size_t critical_path_ = 0;
   std::optional<NodeRef> first_cyclic_;
   std::vector<std::size_t> offsets_;  // per-thread flat-id base, + sentinel
-  std::vector<VectorClock> clocks_;   // per flat id; empty clocks if cyclic
+  std::vector<VectorClock> clocks_;   // per flat id; zero if never visited
   std::vector<Arc> cross_list_;
 };
 

@@ -1,9 +1,10 @@
 #include "analysis/trace_lint.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "analysis/hb_engine/hb_order.hpp"
-#include "analysis/hb_engine/hb_trace.hpp"
 #include "recorder/recording_io.hpp"
 
 namespace ht::analysis {
@@ -16,30 +17,10 @@ void issue(LintResult& res, std::size_t thread, std::size_t event,
       {static_cast<ThreadId>(thread), event, std::move(message)});
 }
 
-// Stamped bumps (kResponse / kRegionEnd with a nonzero stamp) of one thread,
-// in program order. A zero stamp is the legacy "unknown" sentinel — the
-// event is still a real bump (it counts toward `ordinal`) but its stamp
-// participates in no value check.
-struct StampedBumps {
-  std::vector<std::size_t> index;     // event index in the thread's log
-  std::vector<std::uint64_t> value;   // post-bump counter stamps
-  std::vector<std::size_t> ordinal;   // 1-based position among ALL bumps
-};
-
-StampedBumps collect_bumps(const ThreadLog& log) {
-  StampedBumps r;
-  std::size_t bumps = 0;
-  for (std::size_t i = 0; i < log.events.size(); ++i) {
-    const LogEvent& e = log.events[i];
-    if (!e.is_bump()) continue;
-    ++bumps;
-    if (e.value == 0) continue;  // unknown stamp: skip monotonicity for it
-    r.index.push_back(i);
-    r.value.push_back(e.value);
-    r.ordinal.push_back(bumps);
-  }
-  return r;
-}
+// A bump with a nonzero stamp. A zero stamp is the legacy "unknown"
+// sentinel: the event is still a real bump, but its stamp participates in
+// no value check and anchors no arc.
+bool stamped_bump(const LogEvent& e) { return e.is_bump() && e.value != 0; }
 
 }  // namespace
 
@@ -53,31 +34,40 @@ LintResult lint_recording(const Recording& recording, bool salvaged) {
 
   const std::size_t n = recording.threads.size();
   bool stamps_consistent = true;
+  std::vector<std::uint64_t> first_stamp(n, 0);  // 0: no stamped bump
+  std::vector<std::uint64_t> last_value(n);
   for (std::size_t t = 0; t < n; ++t) {
     const ThreadLog& log = recording.threads[t];
-    const StampedBumps r = collect_bumps(log);
     // Release counters are bumped monotonically and each logged bump event
     // is itself a bump, so stamped values are strictly increasing, and the
     // k-th logged bump — counting every bump event, stamped or not — has a
     // post-bump counter of at least k. Both hold in mixed legacy/v2 logs:
     // unknown (zero) stamps skip the value checks but still count as bumps.
-    for (std::size_t k = 0; k < r.value.size(); ++k) {
-      if (k > 0 && r.value[k] <= r.value[k - 1]) {
-        issue(res, t, r.index[k],
-              "response counter stamp not strictly increasing");
+    std::size_t bumps = 0;
+    std::uint64_t prev_stamp = 0;
+    for (std::size_t i = 0; i < log.events.size(); ++i) {
+      const LogEvent& e = log.events[i];
+      if (!e.is_bump()) continue;
+      ++bumps;
+      if (e.value == 0) continue;
+      if (first_stamp[t] == 0) {
+        first_stamp[t] = e.value;
+      } else if (e.value <= prev_stamp) {
+        issue(res, t, i, "response counter stamp not strictly increasing");
         stamps_consistent = false;
       }
-      if (r.value[k] < r.ordinal[k]) {
-        issue(res, t, r.index[k],
+      if (e.value < bumps) {
+        issue(res, t, i,
               "response counter stamp below the response count (counter "
               "not monotone)");
         stamps_consistent = false;
       }
+      prev_stamp = e.value;
     }
     // For a fixed (sink, source) pair, edge values are reads of the
     // source's monotone counter taken at program-ordered moments, so they
     // are non-decreasing along the sink's log.
-    std::vector<std::uint64_t> last_value(n, 0);
+    std::fill(last_value.begin(), last_value.end(), 0);
     for (std::size_t i = 0; i < log.events.size(); ++i) {
       const LogEvent& e = log.events[i];
       if (e.type != LogEventType::kEdge) continue;
@@ -94,20 +84,46 @@ LintResult lint_recording(const Recording& recording, bool salvaged) {
   if (!stamps_consistent) return res;
 
   // ---- Cross-thread dependence graph --------------------------------------
-  // Shared with the offline happens-before engine (hb_engine/hb_order.hpp):
-  // nodes are log events, program order chains each thread's log, and each
+  // Nodes are log events, program order chains each thread's log, and each
   // edge event requiring (S, v) gets an arc from the last stamped bump of S
-  // <= v. Real-time order contains every arc, so a genuine recording's graph
-  // is acyclic; a cycle proves the file was corrupted, spliced, or forged.
-  const Trace trace = trace_from_recording(recording);
-  const HbOrder hb = HbOrder::build(trace);
-  res.graph_nodes = hb.node_count();
-  res.graph_arcs = hb.cross_arc_count();
-  if (!hb.acyclic()) {
-    const NodeRef cyc = hb.first_cyclic().value_or(NodeRef{});
+  // <= v — the HbOrder graph (hb_engine/hb_order.hpp), never materialised
+  // here. Stamps are strictly increasing, so S has such a bump iff its first
+  // stamp is <= v.
+  std::vector<std::size_t> lengths(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto& events = recording.threads[t].events;
+    lengths[t] = events.size();
+    res.graph_nodes += events.size();
+    for (const LogEvent& e : events) {
+      if (e.type == LogEventType::kEdge && first_stamp[e.src] != 0 &&
+          first_stamp[e.src] <= e.value) {
+        ++res.graph_arcs;
+      }
+    }
+  }
+  // Real-time order contains every arc, so a genuine recording's graph is
+  // acyclic; a cycle proves the file was corrupted, spliced, or forged. One
+  // cursor sweep decides it. An edge's anchor is behind S's cursor iff the
+  // next stamped bump at or after that cursor is stamped above v (or there
+  // is none), so one look-ahead index per source thread replaces any
+  // per-event state.
+  CursorSweep sweep(std::move(lengths));
+  std::vector<std::size_t> next_stamped(n, 0);
+  sweep.run(
+      [&](ThreadId t, std::size_t i) {
+        const LogEvent& e = recording.threads[t].events[i];
+        if (e.type != LogEventType::kEdge) return true;
+        const auto& src = recording.threads[e.src].events;
+        std::size_t& j = next_stamped[e.src];
+        j = std::max(j, sweep.cursor(e.src));
+        while (j < src.size() && !stamped_bump(src[j])) ++j;
+        return j == src.size() || src[j].value > e.value;
+      },
+      [](ThreadId, std::size_t) {});
+  if (sweep.left() != 0) {
+    const NodeRef cyc = sweep.first_left().value_or(NodeRef{});
     std::ostringstream os;
-    os << "cross-thread dependence graph has a cycle ("
-       << hb.unsorted_count()
+    os << "cross-thread dependence graph has a cycle (" << sweep.left()
        << " event(s) unorderable; no topological order exists)";
     issue(res, cyc.thread, cyc.index, os.str());
   }

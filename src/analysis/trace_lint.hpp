@@ -16,16 +16,18 @@
 //       "unknown" sentinel (pre-stamping recordings): the event still
 //       counts as a bump, but its value participates in no check.
 //
-// Fact (2) turns the recording into a cross-thread dependence graph — built
-// by the shared offline happens-before core (hb_engine/hb_order.hpp): nodes
-// are log events, program order chains each thread's log, and each edge
-// event (T, i) requiring (S, v) gets an arc from the last bump of S
+// Fact (2) turns the recording into a cross-thread dependence graph — the
+// one the offline happens-before core builds (hb_engine/hb_order.hpp):
+// nodes are log events, program order chains each thread's log, and each
+// edge event (T, i) requiring (S, v) gets an arc from the last bump of S
 // stamped <= v. Real-time order contains every arc, so a genuine recording's
 // graph is acyclic and its wr->rd edges are consistent with any topological
 // order of it; a cycle proves the file was corrupted, spliced, or
-// hand-forged. Recordings made before response stamping (all-zero values)
-// degrade gracefully: no bumps participate and the graph checks pass
-// vacuously.
+// hand-forged. The lint never materialises the graph: one cursor sweep
+// (CursorSweep) runs over the recording itself, with one cursor and one
+// look-ahead index per thread, so it allocates O(threads) beyond the input.
+// Recordings made before response stamping (all-zero values) degrade
+// gracefully: no bumps participate and the graph checks pass vacuously.
 #pragma once
 
 #include <cstdint>

@@ -39,13 +39,16 @@ ThreadContext& Runtime::register_thread(ThreadId tid) {
 
 void Runtime::unregister_thread(ThreadContext& ctx) {
   HT_ASSERT(!ctx.in_region, "thread exiting inside an SBRS region");
-  // Thread exit has release semantics: flush held states and bump, so that
+  // Thread exit has release semantics: bump and flush held states, so that
   // other threads' conservative current-counter edges cover this thread's
   // final accesses. The replayer mirrors this bump at thread end
-  // (deterministic, so it is not logged).
+  // (deterministic, so it is not logged). The bump comes first (DESIGN.md
+  // §4.3): a thread that seizes a just-unlocked state records the counter,
+  // which must already cover the accesses the state guarded.
   //
   // A quarantined thread must NOT flush: its buffered locks point at state
   // words survivors already seized — drop them instead.
+  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   if (ctx.quarantined_self || thread_quarantined(ctx.id)) {
     ctx.quarantined_self = true;
     ctx.lock_buffer.clear();
@@ -53,7 +56,6 @@ void Runtime::unregister_thread(ThreadContext& ctx) {
   } else {
     ctx.run_flush_hook();
   }
-  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ctx.run_region_log_hook();  // recorder: deterministic bump -> region mark
   registry_.mark_exited(ctx);
   // Answer any stragglers that ticketed before seeing the parked status.
@@ -82,8 +84,9 @@ void Runtime::psro(ThreadContext& ctx) {
   if (injector_ != nullptr && injector_->thread_fully_stuck(ctx.id)) return;
   ++ctx.stats.psros;
   renew_lease(ctx);
-  ctx.run_flush_hook();
+  // Bump before flushing (DESIGN.md §4.3), as at every flush point.
   ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
+  ctx.run_flush_hook();
   ctx.run_region_log_hook();  // recorder: deterministic bump -> region mark
   // Pending requests are satisfied by the flush we just performed; the PSRO
   // bump doubles as the responding bump, so no extra increment and no
@@ -112,8 +115,8 @@ void Runtime::respond(ThreadContext& ctx) {
   const bool scalar = req > wm_before;
   if (!scalar && !ctx.batch_requests_pending()) return;
   ctx.run_abort_hook();  // enforcer: roll back region writes while still owner
-  ctx.run_flush_hook();  // hybrid: deferred unlocking's buffer flush
   ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
+  ctx.run_flush_hook();  // hybrid: deferred unlocking's buffer flush
   if (scalar) {
     ctx.owner_side.response_watermark.store(req, std::memory_order_release);
   }
@@ -175,12 +178,12 @@ void Runtime::begin_blocking(ThreadContext& ctx) {
   // Death only flips at poll probes, so it cannot change between this check
   // and the matching end_blocking's.
   if (injector_ != nullptr && injector_->thread_fully_stuck(ctx.id)) return;
-  // Blocking is a responding safe point (§2.2): flush and bump BEFORE
+  // Blocking is a responding safe point (§2.2): bump and flush BEFORE
   // publishing BLOCKED, so implicit coordinators find no held locks and read
   // a counter value covering all our prior accesses.
   renew_lease(ctx);
-  ctx.run_flush_hook();
   ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
+  ctx.run_flush_hook();
   ++ctx.stats.responding_safepoints;
   // Stragglers that ticketed before this flush are satisfied by it; publish
   // the watermark before parking (same ordering as respond() — tickets taken

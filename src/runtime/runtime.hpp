@@ -153,7 +153,7 @@ class Runtime {
   // PSROs); callers use psro() before spawn — see workload::run_threads.
   ThreadContext& register_thread(ThreadId tid = kNoThread);
 
-  // Final flush + release-counter bump + permanent BLOCKED parking. After
+  // Final release-counter bump + flush + permanent BLOCKED parking. After
   // this every implicit coordination with the thread succeeds.
   void unregister_thread(ThreadContext& ctx);
 
@@ -246,12 +246,12 @@ class Runtime {
     if (injector_ != nullptr) slow_path_fault(ctx);
   }
 
-  // Program-synchronization release operation: flush the lock buffer, bump
-  // the release counter (deterministically), answer pending requests.
+  // Program-synchronization release operation: bump the release counter
+  // (deterministically), flush the lock buffer, answer pending requests.
   void psro(ThreadContext& ctx);
 
-  // Blocking safe points (lock acquisition, join, barrier): flush, bump
-  // (logged), park BLOCKED so requesters coordinate implicitly.
+  // Blocking safe points (lock acquisition, join, barrier): bump (logged),
+  // flush, park BLOCKED so requesters coordinate implicitly.
   void begin_blocking(ThreadContext& ctx);
   void end_blocking(ThreadContext& ctx);
 

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/xorshift.hpp"
+#include "recorder/recorder.hpp"
 #include "runtime/sync.hpp"
 #include "test_util.hpp"
 #include "tracking/tracked_var.hpp"
@@ -169,6 +170,76 @@ TEST_F(PessStateFixture, CrossWriteOfWrExPessTakesWrExWLock) {
   EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExWLock, t0.id));
   tracker.flush(t0);
   EXPECT_TRUE(state_is(var.meta(), StateKind::kWrExPess, t0.id));
+}
+
+// ---- deferred-unlock flush window (DESIGN.md §4.3) -------------------------
+
+// A thread that seizes a pessimistic state the moment its owner's flush
+// unlocks it records the owner's release counter, and that counter must
+// already cover the owner's last region: a flush point bumps BEFORE it
+// unlocks. Had the flush come first, the edge would carry the pre-bump
+// counter and replay could read a stale value. The seizing load runs inside
+// the owner's flush hook, right after the real flush, so the window is hit
+// every run.
+TEST(HybridRecorder, SeizeRightAfterFlushRecordsPostBumpCounter) {
+  using RecTracker = HybridTracker</*kStats=*/true, DependenceRecorder>;
+  Runtime rt;
+  DependenceRecorder rec(rt);
+  RecTracker tracker{rt, cutoff1_config(), &rec};
+  ThreadContext& t2 = rt.register_thread();
+  ThreadContext& t1 = rt.register_thread();
+  for (ThreadContext* c : {&t2, &t1}) {
+    tracker.attach_thread(*c);
+    rec.attach_thread(*c);
+  }
+  TrackedVar<std::uint64_t> var;
+  var.init(tracker, t2, 7);
+
+  // Drive var to WrExPess(t1) as PessStateFixture does.
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    var.store(tracker, t1, 50);
+    done.store(true);
+  });
+  while (!done.load()) {
+    rt.poll(t2);
+    std::this_thread::yield();
+  }
+  writer.join();
+  tracker.flush(t1);
+  ASSERT_TRUE(state_is(var.meta(), StateKind::kWrExPess, t1.id));
+
+  // T1 write-locks var and reaches a PSRO.
+  var.store(tracker, t1, 51);
+  ASSERT_TRUE(state_is(var.meta(), StateKind::kWrExWLock, t1.id));
+  struct FlushThenSeize {
+    ThreadHook flush_fn;
+    void* flush_self;
+    RecTracker* tracker;
+    TrackedVar<std::uint64_t>* var;
+    ThreadContext* seizer;
+    bool seized = false;
+  } hook{t1.flush_fn, t1.flush_self, &tracker, &var, &t2};
+  t1.flush_self = &hook;
+  t1.flush_fn = [](void* self, ThreadContext& c) {
+    auto* h = static_cast<FlushThenSeize*>(self);
+    h->flush_fn(h->flush_self, c);
+    // Only an unlocked pessimistic state is seized without coordinating
+    // with T1, which cannot respond from inside its own flush.
+    if (!state_is(h->var->meta(), StateKind::kWrExPess, c.id)) return;
+    EXPECT_EQ(h->var->load(*h->tracker, *h->seizer), 51u);
+    h->seized = true;
+  };
+  const std::size_t edges_before = rec.log(t2.id).events.size();
+  rt.psro(t1);
+  ASSERT_TRUE(hook.seized);
+
+  const auto& events = rec.log(t2.id).events;
+  ASSERT_EQ(events.size(), edges_before + 1);
+  const LogEvent& e = events.back();
+  EXPECT_EQ(e.type, LogEventType::kEdge);
+  EXPECT_EQ(e.src, t1.id);
+  EXPECT_EQ(e.value, t1.release_counter_relaxed());
 }
 
 TEST_F(PessStateFixture, ReadShareFormationAndJoin) {

@@ -232,8 +232,8 @@ TEST(Runtime, RespondRunsHooksInOrder) {
   ThreadContext& owner = rt.register_thread();
   ThreadContext& requester = rt.register_thread();
 
-  // Order contract: flush before the release-counter bump; the response-log
-  // hook after the bump.
+  // Order contract: the release-counter bump before the flush (DESIGN.md
+  // §4.3); the response-log hook after both.
   static thread_local std::vector<std::string> trace;
   trace.clear();
   owner.flush_self = &owner;
@@ -258,7 +258,7 @@ TEST(Runtime, RespondRunsHooksInOrder) {
   }
   req.join();
   ASSERT_GE(trace.size(), 2u);
-  EXPECT_EQ(trace[0], "flush@0");  // flush before bump
+  EXPECT_EQ(trace[0], "flush@1");  // bump before flush
   EXPECT_EQ(trace[1], "log@1");    // log after bump
 }
 
