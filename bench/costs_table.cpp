@@ -10,6 +10,7 @@
 // trip — on this container, a scheduler round trip); implicit coordination
 // is within an order of magnitude of a pessimistic transition.
 #include <atomic>
+#include <barrier>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -135,6 +136,64 @@ double rdsh_fanout_cycles() {
   return cycles;
 }
 
+// The burst the workloads' shared warm-up makes: three threads read fresh
+// objects owned by a fourth and poll after every read, so each read either
+// upgrades RdEx to RdSh, bumping the global read-share counter, or takes the
+// fence transition. Rounds start the readers together on freshly reset
+// objects. Cycles per read, averaged over the readers.
+double rdsh_upgrade_burst_cycles() {
+  Runtime rt;
+  HybridTracker<> tracker(rt, HybridConfig{});
+  constexpr int kReaders = 3;
+  constexpr int kObjects = 2048;
+  constexpr int kRounds = 8;
+  std::vector<TrackedVar<std::uint64_t>> vars(kObjects);
+  std::barrier sync(kReaders + 1);
+  std::atomic<int> finished{0};
+  std::atomic<std::uint64_t> reader_cycles{0};
+
+  std::thread owner([&] {
+    ThreadContext& ctx = rt.register_thread();
+    tracker.attach_thread(ctx);
+    for (auto& v : vars) v.init(tracker, ctx, 0);
+    for (int r = 1; r <= kRounds; ++r) {
+      for (auto& v : vars) {  // bench-only direct metadata write
+        v.meta().store_state(StateWord::rd_ex_opt(ctx.id));
+      }
+      sync.arrive_and_wait();
+      while (finished.load() < r * kReaders) {
+        rt.poll(ctx);
+        std::this_thread::yield();
+      }
+      sync.arrive_and_wait();
+    }
+    rt.unregister_thread(ctx);
+  });
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&] {
+      ThreadContext& ctx = rt.register_thread();
+      tracker.attach_thread(ctx);
+      for (int r = 0; r < kRounds; ++r) {
+        sync.arrive_and_wait();
+        const std::uint64_t t0 = read_cycles();
+        for (auto& v : vars) {
+          (void)v.load(tracker, ctx);
+          rt.poll(ctx);
+        }
+        reader_cycles.fetch_add(read_cycles() - t0);
+        finished.fetch_add(1);
+        sync.arrive_and_wait();
+      }
+      rt.unregister_thread(ctx);
+    });
+  }
+  for (auto& t : readers) t.join();
+  owner.join();
+  return static_cast<double>(reader_cycles.load()) /
+         (kReaders * kObjects * kRounds);
+}
+
 // Implicit coordination: the owner is parked at a blocking safe point.
 double implicit_conflict_cycles() {
   Runtime rt;
@@ -227,6 +286,7 @@ int main() {
   const double impl = implicit_conflict_cycles();
   const double expl = explicit_conflict_cycles();
   const double fanout = rdsh_fanout_cycles();
+  const double burst = rdsh_upgrade_burst_cycles();
   const double hyb_pess = hybrid_pess_uncontended_cycles();
   const double region = enforcer_empty_region_cycles();
   const double region_store = enforcer_region_store_cycles(region);
@@ -236,6 +296,8 @@ int main() {
   std::printf("%-48s %12.0f\n", "Optimistic conflicting, explicit:", expl);
   std::printf("%-48s %12.0f\n",
               "Optimistic conflicting, RdSh, 3 running owners:", fanout);
+  std::printf("%-48s %12.0f\n",
+              "RdSh upgrade or fence, 3 polling readers:", burst);
   std::printf("%-48s %12.0f\n", "Optimistic conflicting, implicit:", impl);
   std::printf("%-48s %12.0f\n", "Hybrid pess uncontended (+PSRO unlock):",
               hyb_pess);

@@ -261,7 +261,7 @@ bool Runtime::quarantine_thread(ThreadContext& self, ThreadId victim) {
   ThreadContext& remote = registry_.context(victim);
   std::uint64_t st = remote.owner_side.status.load(std::memory_order_acquire);
   if (ThreadStatus::is_quarantined(st) ||
-      remote.exited.load(std::memory_order_relaxed)) {
+      remote.liveness.exited.load(std::memory_order_relaxed)) {
     return false;
   }
   const std::uint64_t q =
@@ -316,8 +316,8 @@ struct ProgressFingerprint {
   bool operator==(const ProgressFingerprint&) const = default;
 
   static ProgressFingerprint of(const ThreadContext& t) {
-    return {t.owner_side.last_poll.load(std::memory_order_relaxed),
-            t.owner_side.heartbeat.load(std::memory_order_relaxed),
+    return {t.liveness.last_poll.load(std::memory_order_relaxed),
+            t.liveness.heartbeat.load(std::memory_order_relaxed),
             t.owner_side.release_counter.load(std::memory_order_relaxed),
             t.owner_side.status.load(std::memory_order_relaxed),
             t.owner_side.response_watermark.load(std::memory_order_relaxed)};
@@ -534,10 +534,10 @@ ThreadLivenessSample Runtime::sample_thread(ThreadId id) const {
       t.owner_side.status.load(std::memory_order_acquire);
   s.blocked = ThreadStatus::is_blocked(status);
   s.quarantined = ThreadStatus::is_quarantined(status);
-  s.exited = t.exited.load(std::memory_order_relaxed);
+  s.exited = t.liveness.exited.load(std::memory_order_relaxed);
   s.status_epoch = ThreadStatus::epoch(status);
-  s.last_poll = t.owner_side.last_poll.load(std::memory_order_relaxed);
-  s.heartbeat = t.owner_side.heartbeat.load(std::memory_order_relaxed);
+  s.last_poll = t.liveness.last_poll.load(std::memory_order_relaxed);
+  s.heartbeat = t.liveness.heartbeat.load(std::memory_order_relaxed);
   s.release_counter =
       t.owner_side.release_counter.load(std::memory_order_relaxed);
   s.request_tickets =

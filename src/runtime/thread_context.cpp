@@ -33,15 +33,15 @@ void ThreadContext::reset(ThreadId new_id, Runtime* rt) {
   resp_log_fn = nullptr;
   region_log_self = nullptr;
   region_log_fn = nullptr;
-  exited.store(false, std::memory_order_relaxed);
+  liveness.exited.store(false, std::memory_order_relaxed);
   quarantined_self = false;
   heartbeat = 0;
   coord_span_counter = 0;
   owner_side.status.store(0, std::memory_order_relaxed);
   owner_side.response_watermark.store(0, std::memory_order_relaxed);
   owner_side.release_counter.store(0, std::memory_order_relaxed);
-  owner_side.last_poll.store(0, std::memory_order_relaxed);
-  owner_side.heartbeat.store(0, std::memory_order_relaxed);
+  liveness.last_poll.store(0, std::memory_order_relaxed);
+  liveness.heartbeat.store(0, std::memory_order_relaxed);
   requester_side.request_tickets.store(0, std::memory_order_relaxed);
   // Recycle any batch nodes abandoned to this slot's mailbox (possible only
   // when a runtime instance is reused across runs). The nodes belong to

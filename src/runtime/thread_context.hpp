@@ -129,7 +129,7 @@ class ThreadContext {
   std::uint64_t point_index = 0;
 
   // Liveness-lease heartbeat: bumped at every poll, PSRO, and blocking
-  // boundary, mirrored into owner_side.heartbeat. Unlike last_poll (a mirror
+  // boundary, mirrored into liveness.heartbeat. Unlike last_poll (a mirror
   // of point_index, which freezes inside long waits), the heartbeat also
   // advances from respond_while_waiting, so a thread stuck *waiting* on a
   // genuinely stalled peer still renews its own lease.
@@ -190,25 +190,30 @@ class ThreadContext {
   bool quarantined_self = false;
 
   // --- shared coordination state (padded; written/read across threads) --------
-  // Set by ThreadRegistry::mark_exited; read by the coordination watchdog so
-  // stall diagnostics can distinguish "parked forever because it exited"
-  // from "blocked at a program operation". Cross-thread-read, so it lives
-  // with the coordination lines rather than among the hot owner-local
-  // fields the owner rewrites every poll.
-  alignas(kCacheLine) std::atomic<bool> exited{false};
-
-  // status + response_watermark + release_counter: written by owner, read by
-  // requesters. request_tickets: written by requesters, read by owner.
-  struct alignas(kCacheLine) OwnerSide {
-    std::atomic<std::uint64_t> status{0};
-    std::atomic<std::uint64_t> response_watermark{0};
-    std::atomic<std::uint64_t> release_counter{0};
+  // Liveness words: written by the owner (the pair at every poll), read only
+  // by the coordination watchdog and quarantine. A line of their own, so the
+  // per-poll stores never invalidate the owner_side line requesters spin on.
+  struct alignas(kCacheLine) Liveness {
     // Mirror of point_index published (relaxed) at each poll, so the
     // watchdog can sample owner liveness without racing on the non-atomic
     // point_index. Stale-but-unchanging last_poll is the stall signal.
     std::atomic<std::uint64_t> last_poll{0};
     // Liveness-lease heartbeat epoch (see ThreadContext::heartbeat).
     std::atomic<std::uint64_t> heartbeat{0};
+    // Set by ThreadRegistry::mark_exited, so stall diagnostics can tell
+    // "parked forever because it exited" from "blocked at a program
+    // operation".
+    std::atomic<bool> exited{false};
+  } liveness;
+
+  // status + response_watermark + release_counter: written by owner at each
+  // response, read by requesters. One line: a requester reads the counter
+  // right after it sees the watermark, so a response moves exactly one line
+  // (DESIGN.md §4.2). request_tickets: written by requesters, read by owner.
+  struct alignas(kCacheLine) OwnerSide {
+    std::atomic<std::uint64_t> status{0};
+    std::atomic<std::uint64_t> response_watermark{0};
+    std::atomic<std::uint64_t> release_counter{0};
   } owner_side;
   struct alignas(kCacheLine) RequesterSide {
     std::atomic<std::uint64_t> request_tickets{0};
@@ -294,28 +299,39 @@ static_assert(offsetof(ThreadContext, coord_span_counter) +
                   kCacheLine,
               "hot owner-local group must fit one cache line");
 // ...and nothing cross-thread-written shares a line with them: the stats
-// counters, the exit flag, and each coordination structure start fresh
+// counters, the liveness words, and each coordination structure start fresh
 // lines of their own.
 static_assert(offsetof(ThreadContext, stats) % kCacheLine == 0,
               "per-thread stats must not share the hot or coordination lines");
-static_assert(offsetof(ThreadContext, exited) % kCacheLine == 0,
-              "cross-thread-read exit flag must leave the owner-local lines");
+static_assert(offsetof(ThreadContext, liveness) % kCacheLine == 0,
+              "the per-poll liveness words must start a line of their own");
 static_assert(offsetof(ThreadContext, owner_side) % kCacheLine == 0 &&
                   offsetof(ThreadContext, requester_side) % kCacheLine == 0 &&
                   offsetof(ThreadContext, mailbox) % kCacheLine == 0 &&
                   offsetof(ThreadContext, batch_pool) % kCacheLine == 0,
               "coordination structures must keep their dedicated lines");
-static_assert(offsetof(ThreadContext, requester_side) -
-                      offsetof(ThreadContext, owner_side) >=
+// A response publishes status, watermark and release counter on one line.
+static_assert(offsetof(ThreadContext::OwnerSide, release_counter) +
+                      sizeof(std::uint64_t) <=
                   kCacheLine,
-              "owner- and requester-written words must not share a line");
+              "status, watermark and release counter must share one line");
+// The per-poll stores, the per-response stores and the requesters' ticket
+// increments each dirty a different line.
+static_assert(offsetof(ThreadContext, owner_side) -
+                          offsetof(ThreadContext, liveness) >=
+                      kCacheLine &&
+                  offsetof(ThreadContext, requester_side) -
+                          offsetof(ThreadContext, owner_side) >=
+                      kCacheLine,
+              "per-poll, owner-written and requester-written words must not "
+              "share a line");
 // The RS-enforcer group, written on every region and in-region store, sits
 // past the hot line and before the first cross-thread-written line.
 static_assert(offsetof(ThreadContext, in_region) >=
                       offsetof(ThreadContext, fast_wr_ex_opt) + kCacheLine &&
                   offsetof(ThreadContext, region_start_point) +
                           sizeof(std::uint64_t) <=
-                      offsetof(ThreadContext, exited),
+                      offsetof(ThreadContext, liveness),
               "RS-enforcer group must stay off the hot and cross-thread lines");
 #pragma GCC diagnostic pop
 #endif

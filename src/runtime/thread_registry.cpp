@@ -33,7 +33,7 @@ ThreadContext& ThreadRegistry::register_thread(Runtime* rt, ThreadId id) {
 }
 
 void ThreadRegistry::mark_exited(ThreadContext& ctx) {
-  ctx.exited.store(true, std::memory_order_relaxed);
+  ctx.liveness.exited.store(true, std::memory_order_relaxed);
   live_.fetch_sub(1, std::memory_order_relaxed);
   // Park as blocked forever: implicit coordination always succeeds.
   std::uint64_t s = ctx.owner_side.status.load(std::memory_order_relaxed);
