@@ -11,6 +11,7 @@
 // is within an order of magnitude of a pessimistic transition.
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -92,6 +93,75 @@ double explicit_conflict_cycles() {
     cycles = static_cast<double>(read_cycles() - t0) / kConflicts;
   }
   stop.store(true);
+  owner.join();
+  return cycles;
+}
+
+// Chained explicit coordination: the owner is itself in an Int wait on an
+// object a third thread holds, so the request is answered by the owner's
+// wait loop (Fig 1 line 18), not by a poll. The holder keeps the Int for
+// kHold at a time, as a holder whose own round trip waits on a descheduled
+// thread does, then hands the object to the owner and takes it back once
+// the owner's store has returned.
+double chained_explicit_conflict_cycles() {
+  Runtime rt;
+  OptimisticTracker<> tracker(rt);
+  TrackedVar<std::uint64_t> var;   // requester -> owner
+  TrackedVar<std::uint64_t> held;  // owner -> holder's Int
+
+  constexpr int kConflicts = 2'000;
+  constexpr auto kHold = std::chrono::microseconds(200);
+  std::atomic<bool> stop{false};
+  std::atomic<ThreadContext*> owner_ctx{nullptr};
+  std::atomic<std::uint64_t> owner_stores{0};
+
+  std::thread owner([&] {
+    ThreadContext& ctx = rt.register_thread();
+    var.init(tracker, ctx, 0);
+    held.init(tracker, ctx, 0);
+    owner_ctx.store(&ctx);
+    for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      held.store(tracker, ctx, i);  // waits while the holder has the Int
+      owner_stores.fetch_add(1);
+      rt.poll(ctx);
+    }
+    rt.unregister_thread(ctx);
+  });
+  while (owner_ctx.load() == nullptr) std::this_thread::yield();
+  const ThreadId owner_id = owner_ctx.load()->id;
+
+  std::thread holder([&] {
+    ThreadContext& ctx = rt.register_thread();
+    // Bench-only direct metadata writes: take the Int, hold it, hand the
+    // object to the owner, wait until the owner's store returned.
+    while (!stop.load(std::memory_order_relaxed)) {
+      held.meta().store_state(StateWord::intermediate(ctx.id));
+      const auto until = std::chrono::steady_clock::now() + kHold;
+      while (std::chrono::steady_clock::now() < until &&
+             !stop.load(std::memory_order_relaxed)) {
+        rt.poll(ctx);
+      }
+      const std::uint64_t seen = owner_stores.load();
+      held.meta().store_state(StateWord::wr_ex_opt(owner_id));
+      while (owner_stores.load() == seen &&
+             !stop.load(std::memory_order_relaxed)) {
+        rt.poll(ctx);
+      }
+    }
+    held.meta().store_state(StateWord::wr_ex_opt(owner_id));
+    rt.unregister_thread(ctx);
+  });
+
+  ThreadContext& me = rt.register_thread();
+  const std::uint64_t t0 = read_cycles();
+  for (int i = 0; i < kConflicts; ++i) {
+    var.meta().store_state(StateWord::wr_ex_opt(owner_id));
+    var.store(tracker, me, static_cast<std::uint64_t>(i));
+  }
+  const double cycles =
+      static_cast<double>(read_cycles() - t0) / kConflicts;
+  stop.store(true);
+  holder.join();
   owner.join();
   return cycles;
 }
@@ -285,6 +355,7 @@ int main() {
   const double same = optimistic_same_state_cycles();
   const double impl = implicit_conflict_cycles();
   const double expl = explicit_conflict_cycles();
+  const double chained = chained_explicit_conflict_cycles();
   const double fanout = rdsh_fanout_cycles();
   const double burst = rdsh_upgrade_burst_cycles();
   const double hyb_pess = hybrid_pess_uncontended_cycles();
@@ -294,6 +365,8 @@ int main() {
   std::printf("%-48s %12.0f\n", "Pessimistic (per access, CAS + unlock):", pess);
   std::printf("%-48s %12.0f\n", "Optimistic same state (fast path):", same);
   std::printf("%-48s %12.0f\n", "Optimistic conflicting, explicit:", expl);
+  std::printf("%-48s %12.0f\n",
+              "Opt conflicting, explicit, owner in Int wait:", chained);
   std::printf("%-48s %12.0f\n",
               "Optimistic conflicting, RdSh, 3 running owners:", fanout);
   std::printf("%-48s %12.0f\n",

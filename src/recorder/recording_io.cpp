@@ -16,7 +16,9 @@ namespace ht {
 namespace {
 
 // Capped exponential backoff between write-retry attempts: 20us, 40us, 80us,
-// ... clamped to 256us (mirrors common/spin.hpp Backoff's sleep range).
+// ... clamped to 256us. The range is that of Backoff's sleep ticks
+// (common/spin.hpp), without its spin and yield phases: a failed write is
+// not a wait on another thread.
 void retry_backoff(std::uint32_t attempt) {
   const int us = std::min(20 << std::min(attempt, 8u), 256);
   std::this_thread::sleep_for(std::chrono::microseconds(us));

@@ -410,11 +410,10 @@ void Runtime::round_trip(ThreadContext& self, Request* reqs, std::size_t n) {
   const WatchdogConfig& wd = cfg_.watchdog;
   // Jitter the sleep ticks by requester id: coordinators whose leases on the
   // same stalled owner expire together must not re-request in lockstep.
-  Backoff backoff(spin_rounds(), Backoff::kDefaultYieldsBeforeSleep,
-                  wd.backoff_max_sleep_us,
+  Backoff backoff(spin_rounds(), wd.backoff_max_sleep_us,
                   /*jitter_seed=*/0x9E3779B9u * (self.id + 1));
-  std::uint64_t epochs = 0;
-  std::uint64_t stalled_epochs = 0;
+  StallClock lease;
+  std::uint64_t waited_since = 0;  // clock at the first ceding step
   std::uint32_t dumps = 0;
   const Request* policed = nullptr;
   ProgressFingerprint last{};
@@ -444,27 +443,34 @@ void Runtime::round_trip(ThreadContext& self, Request* reqs, std::size_t n) {
     if (first == nullptr) return;
     respond_while_waiting(self);  // may throw RegionRestart; wait point
     // Under a virtual scheduler the wait point above already yielded the
-    // virtual CPU; OS backoff on top would only burn wall time.
+    // virtual CPU; OS backoff on top would only burn wall time, and the
+    // wait stays in its spin phase, unpoliced (the explorer disables the
+    // watchdog anyway).
     if (!schedule::virtualized()) backoff.pause();
-    ++epochs;
-    // Any owner movement resets the stall clock and keeps the wait from
-    // sleeping: a sleeping waiter answers nobody and wakes late.
+    // While the wait spins it leaves the owner's liveness line alone: the
+    // fingerprint is read only once the wait cedes the CPU.
+    if (!backoff.yielding()) continue;
+    const std::uint64_t now_ns = backoff.now();
+    // Any owner movement restarts the stall clock and the silence window:
+    // a sleeping waiter answers nobody and wakes late.
     ThreadContext& remote = *first->remote;
     const ProgressFingerprint now = ProgressFingerprint::of(remote);
     if (first != policed || now != last) {
+      if (policed == nullptr) waited_since = now_ns;
       policed = first;
       last = now;
-      stalled_epochs = 0;
+      lease.renew(now_ns);
       backoff.keep_awake();
       continue;
     }
-    if (!wd.enabled || ++stalled_epochs < wd.stall_epochs) continue;
+    if (!wd.enabled || !lease.expired(now_ns, wd.stall_epochs)) continue;
     // The owner's liveness lease expired: a full stall window passed with
     // no heartbeat, poll, response, or status movement.
     HT_TELEM_EVENT(self, kLeaseExpired, first->owner, first->ticket,
-                   stalled_epochs);
+                   wd.stall_epochs);
     CoordStallDiagnostic diag = build_stall_diagnostic(
-        self, remote, first->ticket, epochs, stalled_epochs);
+        self, remote, first->ticket,
+        (now_ns - waited_since) / StallClock::kEpochNs, wd.stall_epochs);
     if (dumps < wd.max_dumps) {
       emit_stall_diagnostic(diag);
       ++dumps;
@@ -481,7 +487,7 @@ void Runtime::round_trip(ThreadContext& self, Request* reqs, std::size_t n) {
       quarantine_thread(self, first->owner);
       last = ProgressFingerprint::of(remote);
     }
-    stalled_epochs = 0;  // kContinue/kQuarantine: rearm the stall clock
+    // kContinue/kQuarantine: the stall clock has rearmed for the next window.
   }
 }
 

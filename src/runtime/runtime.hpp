@@ -76,8 +76,10 @@ struct CoordStallDiagnostic {
   ThreadId requester = kNoThread;
   ThreadId owner = kNoThread;
   std::uint64_t ticket = 0;           // the unanswered request
-  std::uint64_t waited_epochs = 0;    // backoff epochs since coordinate() began
-  std::uint64_t stalled_epochs = 0;   // epochs with zero observed owner progress
+  // Lease epochs (StallClock) since the wait first ceded the CPU, and
+  // silent epochs when the stall window expired.
+  std::uint64_t waited_epochs = 0;
+  std::uint64_t stalled_epochs = 0;
   ThreadLivenessSample owner_sample;
   std::vector<ThreadLivenessSample> threads;
 
@@ -85,18 +87,52 @@ struct CoordStallDiagnostic {
 };
 
 // Thrown by coordinate() when the watchdog policy is kFailFast and the owner
-// made no progress for watchdog.stall_epochs backoff epochs. Carries the
-// same diagnostic the sink received.
+// made no progress for watchdog.stall_epochs lease epochs. Carries the same
+// diagnostic the sink received.
 struct CoordinationStalled {
   CoordStallDiagnostic diagnostic;
 };
 
+// The watchdog's stall clock (DESIGN.md §7.2): owner silence counted in
+// lease epochs on the wait's own clock. An epoch is at least kEpochNs of
+// wall time and at most one wait step, so the thousand-odd short yield
+// steps a wait takes before it sleeps add up to about two epochs, and a
+// waiter that was itself descheduled for a long stretch blames the owner
+// for one epoch, not for many.
+class StallClock {
+ public:
+  // One lease epoch: the sleep-tick cap.
+  static constexpr std::uint64_t kEpochNs =
+      Backoff::kDefaultMaxSleepUs * 1000ull;
+
+  // The policed owner moved, or a new owner is policed: silence starts now.
+  void renew(std::uint64_t now_ns) {
+    epoch_start_ = now_ns;
+    epochs_ = 0;
+  }
+
+  // One wait step at now_ns with the owner still silent. True on the step
+  // that completes window_epochs silent epochs; the clock then starts the
+  // next window, so each window fires once.
+  bool expired(std::uint64_t now_ns, std::uint64_t window_epochs) {
+    if (now_ns - epoch_start_ < kEpochNs) return false;
+    epoch_start_ = now_ns;
+    if (++epochs_ < window_epochs) return false;
+    epochs_ = 0;
+    return true;
+  }
+
+ private:
+  std::uint64_t epoch_start_ = 0;
+  std::uint64_t epochs_ = 0;
+};
+
 struct WatchdogConfig {
   bool enabled = true;
-  // Backoff epochs (pause() calls in the explicit wait loop) without any
-  // observed owner progress before the wait is declared stalled. Epochs cost
-  // microseconds once Backoff escalates to sleep ticks, so the default is
-  // roughly a second of wall-clock silence.
+  // Lease epochs (StallClock, at least 256 us of wall time each) without any
+  // observed owner progress before the wait is declared stalled. A wait
+  // sleeps at the 256 us tick cap once it has escalated, so the default is
+  // a little over a second of wall-clock silence.
   std::uint64_t stall_epochs = 4096;
   // What a confirmed stall does after the diagnostic is emitted.
   enum class OnStall : std::uint8_t {
@@ -110,7 +146,7 @@ struct WatchdogConfig {
   std::uint32_t max_dumps = 2;
   // Sleep-tick cap for the explicit-wait backoff — the lease re-request
   // period once a wait has escalated past yielding. Mirrors
-  // Backoff::kDefaultMaxSleepUs.
+  // Backoff::kDefaultMaxSleepUs and StallClock::kEpochNs.
   int backoff_max_sleep_us = 256;
   // Diagnostic sink; nullptr means "write to stderr".
   std::function<void(const CoordStallDiagnostic&)> sink;

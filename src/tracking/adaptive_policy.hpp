@@ -46,7 +46,6 @@ struct PolicyConfig {
   // stay-optimistic rule).
   std::uint32_t repess_cutoff_multiplier = 0;
 
-  static PolicyConfig paper_defaults() { return PolicyConfig{}; }
   static PolicyConfig infinite() {
     PolicyConfig c;
     c.infinite_cutoff = true;
@@ -148,12 +147,6 @@ class AdaptivePolicy {
     m.profile().update([](ProfileWord w) {
       return w.with_must_stay_opt().with_pess_counters_cleared();
     });
-  }
-
-  bool to_opt_on_unlock(ObjectMeta& m) {
-    if (!should_go_opt(m)) return false;
-    commit_go_opt(m);
-    return true;
   }
 
  private:

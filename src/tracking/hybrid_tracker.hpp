@@ -360,11 +360,13 @@ class HybridTracker {
   // ceding the CPU — the holder keeps the Int across a whole coordination
   // round trip, and on oversubscribed cores a pure spin burns the
   // scheduling quantum that holder (or the owner draining a batch mailbox)
-  // needs. Unlike the coordination wait it may sleep while the holder
-  // moves: the holder's heartbeat advances at every epoch of its own round
-  // trip, and Int waiters kept awake by it made the hybrid and recorder
-  // configs slower (DESIGN.md §13.3). An Int abandoned by a quarantined
-  // thread is seized instead.
+  // needs. Its silence window runs from the start of the wait, not from
+  // the holder's last movement as the coordination wait's does: the
+  // holder's heartbeat advances at every step of its own round trip, and
+  // Int waiters kept awake by it made the hybrid and recorder configs
+  // slower (DESIGN.md §13.3). So the wait yields, answering requests, for
+  // one window, and sleeps only on an Int held longer than that. An Int
+  // abandoned by a quarantined thread is seized instead.
   void wait_on_int(ThreadContext& ctx, ObjectMeta& m, StateWord s, AK access,
                    Backoff& backoff) {
     observe_wait(ctx, m, s, access);

@@ -134,7 +134,10 @@ class PessimisticTracker {
     return lock_contended(ctx, m);
   }
 
-  StateWord lock_contended(ThreadContext& ctx, ObjectMeta& m) {
+  // Out of line, so the wait loop does not sway how the uncontended lock
+  // above inlines into every access.
+  [[gnu::noinline]] StateWord lock_contended(ThreadContext& ctx,
+                                             ObjectMeta& m) {
     HT_TELEM_CYCLES(telem_t0);
     Backoff backoff;
     for (;;) {

@@ -70,7 +70,8 @@ TEST(AdaptivePolicy, ObjectsMustStayOptimisticAfterOneRoundTrip) {
   ObjectMeta m;
   EXPECT_TRUE(p.to_pess_on_conflict(m, true));
   p.note_pess_transition(m, false);
-  EXPECT_TRUE(p.to_opt_on_unlock(m));
+  ASSERT_TRUE(p.should_go_opt(m));
+  p.commit_go_opt(m);
   // Second trip is forbidden regardless of further conflicts (§6.2).
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(p.to_pess_on_conflict(m, true));
 }
@@ -139,7 +140,8 @@ TEST(AdaptivePolicy, RepessAllowsSecondTripAtEscalatedCutoff) {
   EXPECT_FALSE(p.to_pess_on_conflict(m, true));
   EXPECT_TRUE(p.to_pess_on_conflict(m, true));
   p.note_pess_transition(m, false);
-  EXPECT_TRUE(p.to_opt_on_unlock(m));  // returns, pinned... but repess allowed
+  ASSERT_TRUE(p.should_go_opt(m));
+  p.commit_go_opt(m);  // returns, pinned... but repess allowed
 
   // Second trip requires cutoff * multiplier = 6 total conflicts.
   EXPECT_FALSE(p.to_pess_on_conflict(m, true));  // 3
@@ -156,12 +158,13 @@ TEST(AdaptivePolicy, RepessDisabledKeepsStayOptRule) {
   ObjectMeta m;
   EXPECT_TRUE(p.to_pess_on_conflict(m, true));
   p.note_pess_transition(m, false);
-  EXPECT_TRUE(p.to_opt_on_unlock(m));
+  ASSERT_TRUE(p.should_go_opt(m));
+  p.commit_go_opt(m);
   for (int i = 0; i < 50; ++i) EXPECT_FALSE(p.to_pess_on_conflict(m, true));
 }
 
 TEST(AdaptivePolicy, PaperDefaultParameterValues) {
-  const PolicyConfig c = PolicyConfig::paper_defaults();
+  const PolicyConfig c{};
   EXPECT_EQ(c.cutoff_confl, 4u);
   EXPECT_EQ(c.k_confl, 200u);
   EXPECT_EQ(c.inertia, 100u);

@@ -498,12 +498,20 @@ TEST(Backoff, EscalatesToYielding) {
   EXPECT_FALSE(b.yielding());
 }
 
+// The yield phase ends on the clock, after Backoff::kSilenceWindowNs of
+// silence, not after a number of yields.
+std::uint64_t backoff_test_now_ns = 0;
+std::uint64_t backoff_test_clock() { return backoff_test_now_ns; }
+
 TEST(Backoff, EscalatesToSleepingAfterYieldBudget) {
-  Backoff b(/*spins_before_yield=*/1, /*yields_before_sleep=*/4);
+  backoff_test_now_ns = 0;
+  Backoff b(/*spin_rounds=*/1, Backoff::kDefaultMaxSleepUs, /*jitter_seed=*/0,
+            backoff_test_clock);
   EXPECT_FALSE(b.sleeping());
   for (int i = 0; i < 4; ++i) b.pause();  // 1 spin + 3 yields
   EXPECT_FALSE(b.sleeping());
-  b.pause();  // the yield budget is spent: waits are sleep ticks from here
+  backoff_test_now_ns = Backoff::kSilenceWindowNs;
+  b.pause();  // the window is spent: waits are sleep ticks from here
   EXPECT_TRUE(b.sleeping());
   EXPECT_TRUE(b.yielding());  // sleeping implies the CPU was ceded
   b.reset();

@@ -80,6 +80,40 @@ TEST(FaultInjector, StallWindowIsBounded) {
 
 // --- watchdog ------------------------------------------------------------------
 
+// The stall window is wall time, not a step count: a thousand steps 1 us
+// apart inside a four-epoch window do not fire it, the step that completes
+// the window fires it exactly once, and the next window starts there. A
+// single long step (a waiter descheduled for 10 ms) counts as one epoch.
+TEST(Watchdog, StallWindowIsWallTimeNotStepCount) {
+  constexpr std::uint64_t kEpoch = StallClock::kEpochNs;
+  constexpr std::uint64_t kWindowEpochs = 4;
+  StallClock lease;
+  lease.renew(0);
+  int fired = 0;
+  std::uint64_t fired_at = 0;
+  std::uint64_t t = 0;
+  for (; t < 2 * kWindowEpochs * kEpoch; t += 1000) {
+    if (lease.expired(t, kWindowEpochs)) {
+      ++fired;
+      if (fired_at == 0) fired_at = t;
+    }
+    if (t < kWindowEpochs * kEpoch) {
+      ASSERT_EQ(fired, 0) << "at " << t << " ns";
+    }
+  }
+  EXPECT_EQ(fired_at, kWindowEpochs * kEpoch);
+  EXPECT_EQ(fired, 1);  // the second window ends at t == 2 * 4 epochs
+  EXPECT_TRUE(lease.expired(t, kWindowEpochs));
+
+  // Owner progress restarts the window; one 10 ms step is one epoch.
+  lease.renew(t);
+  t += 10'000'000;
+  for (std::uint64_t i = 1; i < kWindowEpochs; ++i, t += kEpoch) {
+    EXPECT_FALSE(lease.expired(t, kWindowEpochs)) << "epoch " << i;
+  }
+  EXPECT_TRUE(lease.expired(t, kWindowEpochs));
+}
+
 // A second context registered on the test thread and simply never polled is
 // the purest silent owner: running status, frozen fingerprint.
 TEST(Watchdog, FailFastThrowsWithDiagnostic) {

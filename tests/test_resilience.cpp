@@ -40,54 +40,70 @@ std::string temp_path(const char* name) {
 
 // plan() exposes each wait step without performing it, so the whole
 // escalation — spins, yields, doubling sleeps up to the cap — is checked
-// against a virtual clock that just sums the planned sleep ticks.
+// against a fake clock the test advances by hand. clock_reads counts the
+// readings, so a test can show that spinning never reads the clock.
+std::uint64_t fake_now_ns = 0;
+int clock_reads = 0;
+std::uint64_t fake_clock() {
+  ++clock_reads;
+  return fake_now_ns;
+}
+constexpr std::uint64_t kUs = 1000;
+constexpr std::uint64_t kWindow = Backoff::kSilenceWindowNs;
+
 TEST(BackoffEscalation, SpinsThenYieldsThenDoublingSleepsUpToCap) {
-  Backoff b(/*spins_before_yield=*/2, /*yields_before_sleep=*/3,
-            /*max_sleep_us=*/160, /*jitter_seed=*/0);
+  fake_now_ns = 0;
+  Backoff b(/*spin_rounds=*/2, /*max_sleep_us=*/160, /*jitter_seed=*/0,
+            fake_clock);
 
   Backoff::Step s = b.plan();
   EXPECT_EQ(s.kind, Backoff::StepKind::kSpin);
-  EXPECT_EQ(s.spins, 1);
+  EXPECT_EQ(s.spins, 3);  // 2^2 - 1 pauses, within one grain
   EXPECT_FALSE(b.yielding());
-  s = b.plan();
-  EXPECT_EQ(s.kind, Backoff::StepKind::kSpin);
-  EXPECT_EQ(s.spins, 2);
-  EXPECT_TRUE(b.yielding());
 
-  for (int i = 0; i < 3; ++i) {
+  // The silence window starts at the first yield and lasts kWindow.
+  for (std::uint64_t t = 0; t < kWindow; t += kWindow / 4) {
+    fake_now_ns = t;
     EXPECT_FALSE(b.sleeping());
     s = b.plan();
-    EXPECT_EQ(s.kind, Backoff::StepKind::kYield) << "round " << i;
+    EXPECT_EQ(s.kind, Backoff::StepKind::kYield) << "at " << t << " ns";
+    EXPECT_TRUE(b.yielding());
   }
-  EXPECT_TRUE(b.sleeping());
+  fake_now_ns = kWindow;
 
   // Sleep ticks double from kMinSleepUs and clamp at the cap; with jitter
   // disabled the virtual clock advances by exactly the doubling series.
-  std::uint64_t fake_clock_us = 0;
+  const std::uint64_t sleep_start = fake_now_ns;
   const int expected[] = {20, 40, 80, 160, 160, 160};
   for (int us : expected) {
     s = b.plan();
     EXPECT_EQ(s.kind, Backoff::StepKind::kSleep);
     EXPECT_TRUE(b.sleeping());
     EXPECT_EQ(s.sleep_us, us);
-    fake_clock_us += static_cast<std::uint64_t>(s.sleep_us);
+    fake_now_ns += static_cast<std::uint64_t>(s.sleep_us) * kUs;
   }
-  EXPECT_EQ(fake_clock_us, 20u + 40 + 80 + 160 + 160 + 160);
+  EXPECT_EQ(fake_now_ns - sleep_start, (20u + 40 + 80 + 160 + 160 + 160) * kUs);
 
   // reset() rearms the full ladder.
   b.reset();
   s = b.plan();
   EXPECT_EQ(s.kind, Backoff::StepKind::kSpin);
-  EXPECT_EQ(s.spins, 1);
+  EXPECT_EQ(s.spins, 3);
 }
 
 // Jittered sleeps stay within ±25% of the unjittered tick, and the sequence
 // is deterministic in the seed (two equal seeds plan identical schedules, a
 // different seed diverges somewhere — the de-lockstep property).
 TEST(BackoffEscalation, SleepJitterIsBoundedAndDeterministicInSeed) {
-  Backoff a(0, 0, 256, /*jitter_seed=*/12345);
-  Backoff b(0, 0, 256, /*jitter_seed=*/12345);
-  Backoff c(0, 0, 256, /*jitter_seed=*/54321);
+  fake_now_ns = 0;
+  Backoff a(0, 256, /*jitter_seed=*/12345, fake_clock);
+  Backoff b(0, 256, /*jitter_seed=*/12345, fake_clock);
+  Backoff c(0, 256, /*jitter_seed=*/54321, fake_clock);
+  // No spin phase: the first step yields and starts the silence window.
+  for (Backoff* x : {&a, &b, &c}) {
+    ASSERT_EQ(x->plan().kind, Backoff::StepKind::kYield);
+  }
+  fake_now_ns = kWindow;
   int base = Backoff::kMinSleepUs;
   bool diverged = false;
   for (int i = 0; i < 32; ++i) {
@@ -104,33 +120,118 @@ TEST(BackoffEscalation, SleepJitterIsBoundedAndDeterministicInSeed) {
   EXPECT_TRUE(diverged) << "different seeds planned identical jitter";
 }
 
-// keep_awake() reports progress of the awaited thread: a wait past its yield
-// budget goes back to yielding instead of sleeping, and a later frozen
-// stretch spends the whole yield budget again before its first sleep, which
-// starts the ladder over at kMinSleepUs.
+// keep_awake() reports progress of the awaited thread: a sleeping wait goes
+// back to yielding, and a later frozen stretch yields for a whole window
+// again before its first sleep, which starts the ladder over at
+// kMinSleepUs.
 TEST(BackoffEscalation, KeepAwakeHoldsTheYieldPhaseAndRestartsTheSleeps) {
-  Backoff b(/*spins_before_yield=*/2, /*yields_before_sleep=*/3,
-            /*max_sleep_us=*/160, /*jitter_seed=*/0);
+  fake_now_ns = 0;
+  Backoff b(/*spin_rounds=*/2, /*max_sleep_us=*/160, /*jitter_seed=*/0,
+            fake_clock);
   b.keep_awake();  // still spinning: unchanged
   Backoff::Step s = b.plan();
   EXPECT_EQ(s.kind, Backoff::StepKind::kSpin);
-  EXPECT_EQ(s.spins, 1);
-  for (int i = 0; i < 1 + 3; ++i) b.plan();  // last spin, the yield budget
+  EXPECT_EQ(s.spins, 3);
+  EXPECT_EQ(b.plan().kind, Backoff::StepKind::kYield);  // window starts at 0
+  fake_now_ns = kWindow;
+  ASSERT_EQ(b.plan().sleep_us, 20);
   ASSERT_TRUE(b.sleeping());
-  EXPECT_EQ(b.plan().sleep_us, 20);
   EXPECT_EQ(b.plan().sleep_us, 40);
 
   b.keep_awake();
   EXPECT_TRUE(b.yielding());
   EXPECT_FALSE(b.sleeping());
-  for (int i = 0; i < 3; ++i) {
+  for (std::uint64_t t = kWindow; t < 2 * kWindow; t += kWindow / 4) {
+    fake_now_ns = t;
     s = b.plan();
-    EXPECT_EQ(s.kind, Backoff::StepKind::kYield) << "round " << i;
+    EXPECT_EQ(s.kind, Backoff::StepKind::kYield) << "at " << t << " ns";
   }
+  fake_now_ns = 2 * kWindow;
   s = b.plan();
   EXPECT_EQ(s.kind, Backoff::StepKind::kSleep);
   EXPECT_EQ(s.sleep_us, Backoff::kMinSleepUs);
   EXPECT_EQ(b.plan().sleep_us, 40);
+}
+
+// An awaited thread that keeps moving is never slept on, however long the
+// wait: here a second of 1 us yields, with progress every 0.4 windows.
+TEST(BackoffEscalation, MovingOwnerIsNeverSleptOn) {
+  fake_now_ns = 0;
+  Backoff b(Backoff::kDefaultSpinRounds, Backoff::kDefaultMaxSleepUs,
+            /*jitter_seed=*/7, fake_clock);
+  const std::uint64_t progress_every = kWindow * 2 / 5;
+  std::uint64_t last_progress = 0;
+  int sleeps = 0;
+  for (; fake_now_ns < 1'000'000'000ull; fake_now_ns += kUs) {
+    if (b.plan().kind == Backoff::StepKind::kSleep) ++sleeps;
+    if (fake_now_ns - last_progress >= progress_every) {
+      last_progress = fake_now_ns;
+      b.keep_awake();
+    }
+  }
+  EXPECT_EQ(sleeps, 0);
+  EXPECT_TRUE(b.yielding());
+}
+
+// A frozen owner: the wait spins for the spin phase (127 pauses in steps of
+// at most kSpinGrain, no clock reading), yields until the owner has been
+// silent for the whole window, then sleeps with doubling ticks up to the
+// cap. A step count does not end the yield phase, only the clock does.
+TEST(BackoffEscalation, FrozenOwnerSpinsThenYieldsForTheWindowThenSleeps) {
+  fake_now_ns = 0;
+  clock_reads = 0;
+  Backoff b(Backoff::kDefaultSpinRounds, Backoff::kDefaultMaxSleepUs,
+            /*jitter_seed=*/0, fake_clock);
+  int spun = 0;
+  Backoff::Step s = b.plan();
+  for (; s.kind == Backoff::StepKind::kSpin; s = b.plan()) {
+    EXPECT_GE(s.spins, 1);
+    EXPECT_LE(s.spins, Backoff::kSpinGrain);
+    spun += s.spins;
+    EXPECT_EQ(clock_reads, 0);
+    fake_now_ns += 100;  // spinning does not look at the clock
+  }
+  EXPECT_EQ(spun, (1 << Backoff::kDefaultSpinRounds) - 1);
+  ASSERT_EQ(s.kind, Backoff::StepKind::kYield);
+  const std::uint64_t silent_since = fake_now_ns;
+
+  // 100k yields 1 ns apart stay inside the window: still yielding.
+  for (int i = 0; i < 100'000; ++i) {
+    ++fake_now_ns;
+    ASSERT_EQ(b.plan().kind, Backoff::StepKind::kYield) << "yield " << i;
+  }
+  fake_now_ns = silent_since + kWindow - 1;
+  EXPECT_EQ(b.plan().kind, Backoff::StepKind::kYield);
+  fake_now_ns = silent_since + kWindow;
+  int tick = Backoff::kMinSleepUs;
+  for (int i = 0; i < 8; ++i) {
+    s = b.plan();
+    ASSERT_EQ(s.kind, Backoff::StepKind::kSleep) << "sleep " << i;
+    EXPECT_EQ(s.sleep_us, tick) << "sleep " << i;
+    tick = tick * 2 > Backoff::kDefaultMaxSleepUs ? Backoff::kDefaultMaxSleepUs
+                                                  : tick * 2;
+    fake_now_ns += static_cast<std::uint64_t>(s.sleep_us) * kUs;
+  }
+  EXPECT_EQ(s.sleep_us, Backoff::kDefaultMaxSleepUs);
+}
+
+// keep_awake() restarts the silence window at the latest step: the wait
+// yields for a whole window after it, however long it had been silent.
+TEST(BackoffEscalation, KeepAwakeRestartsTheSilenceWindow) {
+  fake_now_ns = 0;
+  Backoff b(/*spin_rounds=*/0, Backoff::kDefaultMaxSleepUs,
+            /*jitter_seed=*/0, fake_clock);
+  ASSERT_EQ(b.plan().kind, Backoff::StepKind::kYield);  // window starts at 0
+  fake_now_ns = kWindow - 1;
+  ASSERT_EQ(b.plan().kind, Backoff::StepKind::kYield);
+  b.keep_awake();  // progress seen after the step at kWindow - 1
+  fake_now_ns = 2 * kWindow - 2;
+  EXPECT_EQ(b.plan().kind, Backoff::StepKind::kYield);
+  EXPECT_FALSE(b.sleeping());
+  fake_now_ns = 2 * kWindow - 1;
+  const Backoff::Step s = b.plan();
+  EXPECT_EQ(s.kind, Backoff::StepKind::kSleep);
+  EXPECT_EQ(s.sleep_us, Backoff::kMinSleepUs);
 }
 
 // --- watchdog diagnostics ------------------------------------------------------

@@ -47,7 +47,10 @@ int usage() {
                "       workload_run --profile <name> --chaos "
                "[--chaos-seed <n>] [--death-p100k <n>] [--stall-epochs <n>] "
                "[--on-stall quarantine|continue] [--record <path>] "
-               "[--trace <path>]\n");
+               "[--trace <path>]\n"
+               "  --stall-epochs: watchdog window, in lease epochs of at "
+               "least 256 us of owner silence each (default 512, about "
+               "0.17 s)\n");
   return 2;
 }
 
