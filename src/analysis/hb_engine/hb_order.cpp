@@ -49,14 +49,14 @@ HbOrder HbOrder::build(const Trace& trace) {
   }
   o.nodes_ = o.offsets_[n];
 
-  // Stamped bumps per thread, in program order (stamps of a genuine trace
-  // are strictly increasing; the lint checks that before its own sweep).
+  // Bumps per thread, in program order (stamps of a genuine trace are
+  // strictly increasing; the lint checks that before its own sweep).
   std::vector<std::vector<std::size_t>> bump_index(n);
   std::vector<std::vector<std::uint64_t>> bump_stamp(n);
   for (std::size_t t = 0; t < n; ++t) {
     for (std::size_t i = 0; i < trace.threads[t].size(); ++i) {
       const TraceEvent& e = trace.threads[t][i];
-      if (e.is_bump() && e.value != 0) {
+      if (e.is_bump()) {
         bump_index[t].push_back(i);
         bump_stamp[t].push_back(e.value);
       }

@@ -10,8 +10,6 @@
 //         access that waited for S's counter to reach v, so real-time order
 //         contains the arc (the anchor is sound); with kRegionEnd marks
 //         every bump is logged and the anchor is exact (stamp == v).
-//         Zero-stamped bumps (legacy recordings) are "unknown": they never
-//         anchor an arc and the edge falls back to the last earlier stamp.
 //       - lock synchronization (annotated traces): each release of lock L is
 //         ordered before the next acquire of L in the observed global order
 //         — exactly the sync the runtime FastTrack detector tracks, so the

@@ -31,7 +31,7 @@ namespace ht::analysis {
 
 enum class TraceEventKind : std::uint8_t {
   kBump,     // release-counter bump (region boundary); stamp = post-bump
-             // counter, 0 = unknown (legacy recordings)
+             // counter (>= 1)
   kEdge,     // cross-thread dependence: wait until src's counter >= value
   kRead,     // annotated traces only
   kWrite,    // annotated traces only
@@ -46,7 +46,7 @@ struct TraceEvent {
   ThreadId thread = kNoThread;
   std::uint64_t point = 0;  // recorder instrumentation-point index (sync
                             // traces) or the op's global seq (annotated)
-  // kBump: post-bump release counter (0 = unknown).
+  // kBump: post-bump release counter (>= 1).
   // kEdge: required source release-counter value.
   std::uint64_t value = 0;
   ThreadId src = kNoThread;  // kEdge only

@@ -17,11 +17,6 @@ void issue(LintResult& res, std::size_t thread, std::size_t event,
       {static_cast<ThreadId>(thread), event, std::move(message)});
 }
 
-// A bump with a nonzero stamp. A zero stamp is the legacy "unknown"
-// sentinel: the event is still a real bump, but its stamp participates in
-// no value check and anchors no arc.
-bool stamped_bump(const LogEvent& e) { return e.is_bump() && e.value != 0; }
-
 }  // namespace
 
 LintResult lint_recording(const Recording& recording, bool salvaged) {
@@ -34,34 +29,22 @@ LintResult lint_recording(const Recording& recording, bool salvaged) {
 
   const std::size_t n = recording.threads.size();
   bool stamps_consistent = true;
-  std::vector<std::uint64_t> first_stamp(n, 0);  // 0: no stamped bump
+  std::vector<std::uint64_t> first_stamp(n, 0);  // 0: no bump
   std::vector<std::uint64_t> last_value(n);
   for (std::size_t t = 0; t < n; ++t) {
     const ThreadLog& log = recording.threads[t];
     // Release counters are bumped monotonically and each logged bump event
-    // is itself a bump, so stamped values are strictly increasing, and the
-    // k-th logged bump — counting every bump event, stamped or not — has a
-    // post-bump counter of at least k. Both hold in mixed legacy/v2 logs:
-    // unknown (zero) stamps skip the value checks but still count as bumps.
-    std::size_t bumps = 0;
+    // is itself a bump, so stamps are strictly increasing. Validation has
+    // rejected a zero stamp, so the k-th bump's stamp is at least k.
     std::uint64_t prev_stamp = 0;
     for (std::size_t i = 0; i < log.events.size(); ++i) {
       const LogEvent& e = log.events[i];
       if (!e.is_bump()) continue;
-      ++bumps;
-      if (e.value == 0) continue;
-      if (first_stamp[t] == 0) {
-        first_stamp[t] = e.value;
-      } else if (e.value <= prev_stamp) {
+      if (e.value <= prev_stamp) {
         issue(res, t, i, "response counter stamp not strictly increasing");
         stamps_consistent = false;
       }
-      if (e.value < bumps) {
-        issue(res, t, i,
-              "response counter stamp below the response count (counter "
-              "not monotone)");
-        stamps_consistent = false;
-      }
+      if (first_stamp[t] == 0) first_stamp[t] = e.value;
       prev_stamp = e.value;
     }
     // For a fixed (sink, source) pair, edge values are reads of the
@@ -85,7 +68,7 @@ LintResult lint_recording(const Recording& recording, bool salvaged) {
 
   // ---- Cross-thread dependence graph --------------------------------------
   // Nodes are log events, program order chains each thread's log, and each
-  // edge event requiring (S, v) gets an arc from the last stamped bump of S
+  // edge event requiring (S, v) gets an arc from the last bump of S
   // <= v — the HbOrder graph (hb_engine/hb_order.hpp), never materialised
   // here. Stamps are strictly increasing, so S has such a bump iff its first
   // stamp is <= v.
@@ -104,19 +87,19 @@ LintResult lint_recording(const Recording& recording, bool salvaged) {
   // Real-time order contains every arc, so a genuine recording's graph is
   // acyclic; a cycle proves the file was corrupted, spliced, or forged. One
   // cursor sweep decides it. An edge's anchor is behind S's cursor iff the
-  // next stamped bump at or after that cursor is stamped above v (or there
-  // is none), so one look-ahead index per source thread replaces any
+  // next bump at or after that cursor is stamped above v (or there is
+  // none), so one look-ahead index per source thread replaces any
   // per-event state.
   CursorSweep sweep(std::move(lengths));
-  std::vector<std::size_t> next_stamped(n, 0);
+  std::vector<std::size_t> next_bump(n, 0);
   sweep.run(
       [&](ThreadId t, std::size_t i) {
         const LogEvent& e = recording.threads[t].events[i];
         if (e.type != LogEventType::kEdge) return true;
         const auto& src = recording.threads[e.src].events;
-        std::size_t& j = next_stamped[e.src];
+        std::size_t& j = next_bump[e.src];
         j = std::max(j, sweep.cursor(e.src));
-        while (j < src.size() && !stamped_bump(src[j])) ++j;
+        while (j < src.size() && !src[j].is_bump()) ++j;
         return j == src.size() || src[j].value > e.value;
       },
       [](ThreadId, std::size_t) {});

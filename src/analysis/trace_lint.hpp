@@ -9,12 +9,11 @@
 //       a fixed (sink thread, source thread) pair, edge values are
 //       non-decreasing in the sink's program order;
 //   (2) bump events (kResponse and kRegionEnd) are stamped with the
-//       post-bump counter, so a thread's stamped values are strictly
-//       increasing, the k-th logged bump has a stamp of at least k, and a
-//       bump of S stamped w happened in real time before any access that
-//       waited for S's counter to reach v >= w. A zero stamp is the legacy
-//       "unknown" sentinel (pre-stamping recordings): the event still
-//       counts as a bump, but its value participates in no check.
+//       post-bump counter, so a thread's stamps are strictly increasing
+//       (and, starting at >= 1 — validate_recording rejects a zero stamp —
+//       the k-th logged bump has a stamp of at least k), and a bump of S
+//       stamped w happened in real time before any access that waited for
+//       S's counter to reach v >= w.
 //
 // Fact (2) turns the recording into a cross-thread dependence graph — the
 // one the offline happens-before core builds (hb_engine/hb_order.hpp):
@@ -26,8 +25,6 @@
 // hand-forged. The lint never materialises the graph: one cursor sweep
 // (CursorSweep) runs over the recording itself, with one cursor and one
 // look-ahead index per thread, so it allocates O(threads) beyond the input.
-// Recordings made before response stamping (all-zero values) degrade
-// gracefully: no bumps participate and the graph checks pass vacuously.
 #pragma once
 
 #include <cstdint>

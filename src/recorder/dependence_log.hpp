@@ -35,7 +35,7 @@ struct LogEvent {
   ThreadId src;         // kEdge only
   std::uint64_t value;  // kEdge: required src release-counter value;
                         // kResponse/kRegionEnd: post-bump counter (stamp),
-                        // 0 = unknown (legacy pre-stamping recordings)
+                        // always >= 1
 
   // True for the event kinds that mark a release-counter bump (and hence an
   // SBRS region boundary): kResponse and kRegionEnd.

@@ -65,8 +65,8 @@ class DependenceRecorder {
   // stamped with the post-bump counter: the replayer ignores the stamps (it
   // re-issues nondeterministic bumps and skips region marks), but the
   // offline trace lint and the happens-before engine use them to order bumps
-  // against dependence edges. Value 0 marks an unannotated event
-  // (pre-stamping recordings) — a real post-bump counter is always >= 1.
+  // against dependence edges. A post-bump counter is always >= 1, and
+  // validate_recording rejects a bump stamped 0.
   void attach_thread(ThreadContext& ctx) {
     ctx.resp_log_self = this;
     ctx.resp_log_fn = [](void* self, ThreadContext& c) {
@@ -80,7 +80,7 @@ class DependenceRecorder {
     };
   }
 
-  // --- resilience hook (DESIGN.md §11.4) ----------------------------------------
+  // --- resilience hook (DESIGN.md §11.3) ----------------------------------------
   // Seals a quarantined thread's log: the recorded prefix is frozen (every
   // entry in it is complete, so the trace lint's invariants hold on it) and
   // any append a not-yet-parked victim still attempts is dropped. If a

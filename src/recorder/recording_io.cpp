@@ -27,7 +27,7 @@ void retry_backoff(std::uint32_t attempt) {
 constexpr char kMagic[4] = {'H', 'T', 'R', 'C'};
 constexpr std::uint32_t kTrailerThread = 0xFFFFFFFFu;
 constexpr std::size_t kEventBytes = 8 + 1 + 4 + 8;
-// Events per v2 chunk: small enough that a crash loses little, large enough
+// Events per chunk: small enough that a crash loses little, large enough
 // that chunk framing (16 bytes) is noise.
 constexpr std::size_t kChunkEvents = 512;
 // A corrupt chunk count must not trigger a giant allocation.
@@ -64,46 +64,6 @@ void put_event(std::string& buf, const LogEvent& e) {
   put_pod(buf, e.value);
 }
 
-// --- v1 reader/writer helpers (whole-stream checksum) --------------------------
-
-class V1Writer {
- public:
-  explicit V1Writer(std::ostream& out) : out_(out) {}
-
-  template <typename T>
-  void put(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    out_.write(reinterpret_cast<const char*>(&v), sizeof v);
-    hash_.feed(&v, sizeof v);
-  }
-
-  std::uint64_t checksum() const { return hash_.value(); }
-
- private:
-  std::ostream& out_;
-  Fnv1a hash_;
-};
-
-class V1Reader {
- public:
-  explicit V1Reader(std::istream& in) : in_(in) {}
-
-  template <typename T>
-  bool get(T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    in_.read(reinterpret_cast<char*>(&v), sizeof v);
-    if (!in_.good()) return false;
-    hash_.feed(&v, sizeof v);
-    return true;
-  }
-
-  std::uint64_t checksum() const { return hash_.value(); }
-
- private:
-  std::istream& in_;
-  Fnv1a hash_;
-};
-
 RecordingLoadResult fail(RecordingLoadError e) {
   RecordingLoadResult r;
   r.error = e;
@@ -134,11 +94,15 @@ std::string RecordingLoadResult::to_string() const {
         << " edges, " << recording->total_responses() << " responses)";
   } else {
     out << "load failed: " << recording_load_error_name(error);
+    if (error == RecordingLoadError::kBadVersion) {
+      out << " (file is version " << version << "; only version "
+          << kRecordingFormatVersion << " loads)";
+    }
   }
   return out.str();
 }
 
-// --- streaming v2 writer -------------------------------------------------------
+// --- streaming writer ----------------------------------------------------------
 
 RecordingStreamWriter::RecordingStreamWriter(const std::string& path,
                                              std::uint32_t thread_count,
@@ -265,83 +229,18 @@ bool save_recording(const Recording& recording, const std::string& path,
   return w.finish();
 }
 
-bool save_recording_v1(const Recording& recording, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(kMagic, sizeof kMagic);
-
-  V1Writer w(out);
-  w.put(kRecordingFormatVersionV1);
-  w.put(static_cast<std::uint32_t>(recording.threads.size()));
-  for (const ThreadLog& log : recording.threads) {
-    w.put(static_cast<std::uint64_t>(log.events.size()));
-    for (const LogEvent& e : log.events) {
-      w.put(e.point);
-      w.put(static_cast<std::uint8_t>(e.type));
-      w.put(static_cast<std::uint32_t>(e.src));
-      w.put(e.value);
-    }
-  }
-  const std::uint64_t checksum = w.checksum();
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-  out.flush();
-  return out.good();
-}
-
 // --- load ----------------------------------------------------------------------
 
 namespace {
-
-// v1 loader: the stream is positioned right after the magic. All-or-nothing.
-RecordingLoadResult load_v1(std::istream& in) {
-  V1Reader r(in);
-  std::uint32_t version = 0, threads = 0;
-  if (!r.get(version)) return fail(RecordingLoadError::kTruncated);
-  if (version != kRecordingFormatVersionV1) {
-    return fail(RecordingLoadError::kBadVersion);
-  }
-  if (!r.get(threads)) return fail(RecordingLoadError::kTruncated);
-  if (threads > kMaxThreads) return fail(RecordingLoadError::kChecksum);
-
-  Recording rec;
-  rec.threads.resize(threads);
-  for (ThreadLog& log : rec.threads) {
-    std::uint64_t count = 0;
-    if (!r.get(count)) return fail(RecordingLoadError::kTruncated);
-    if (count > (1ULL << 32)) return fail(RecordingLoadError::kChecksum);
-    log.events.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t point = 0, value = 0;
-      std::uint8_t type = 0;
-      std::uint32_t src = 0;
-      if (!r.get(point) || !r.get(type) || !r.get(src) || !r.get(value)) {
-        return fail(RecordingLoadError::kTruncated);
-      }
-      if (type > static_cast<std::uint8_t>(LogEventType::kRegionEnd)) {
-        return fail(RecordingLoadError::kChecksum);
-      }
-      log.events.push_back(LogEvent{point, static_cast<LogEventType>(type),
-                                    static_cast<ThreadId>(src), value});
-    }
-  }
-  const std::uint64_t computed = r.checksum();
-  std::uint64_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-  if (!in.good()) return fail(RecordingLoadError::kTruncated);
-  if (stored != computed) return fail(RecordingLoadError::kChecksum);
-  RecordingLoadResult res;
-  res.recording = std::move(rec);
-  return res;
-}
 
 bool read_exact(std::istream& in, void* dst, std::size_t n) {
   in.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
   return in.gcount() == static_cast<std::streamsize>(n);
 }
 
-// v2 loader: the stream is positioned right after the magic + version.
+// The stream is positioned right after the magic + version.
 // Walks chained chunks; any failure salvages the prefix loaded so far.
-RecordingLoadResult load_v2(std::istream& in, FaultInjector* faults) {
+RecordingLoadResult load_chunks(std::istream& in, FaultInjector* faults) {
   std::uint32_t threads = 0;
   std::uint64_t header_fnv = 0;
   if (!read_exact(in, &threads, sizeof threads) ||
@@ -461,18 +360,16 @@ RecordingLoadResult load_recording_ex(const std::string& path,
     return fail(RecordingLoadError::kBadMagic);
   }
 
-  // Peek the version to dispatch, then hand each loader a stream positioned
-  // the way its format expects.
   std::uint32_t version = 0;
   if (!read_exact(in, &version, sizeof version)) {
     return fail(RecordingLoadError::kTruncated);
   }
-  if (version == kRecordingFormatVersionV1) {
-    in.seekg(sizeof kMagic, std::ios::beg);  // v1 checksums from the version on
-    return load_v1(in);
+  if (version != kRecordingFormatVersion) {
+    RecordingLoadResult r = fail(RecordingLoadError::kBadVersion);
+    r.version = version;
+    return r;
   }
-  if (version == kRecordingFormatVersion) return load_v2(in, faults);
-  return fail(RecordingLoadError::kBadVersion);
+  return load_chunks(in, faults);
 }
 
 std::optional<Recording> load_recording(const std::string& path) {

@@ -1,18 +1,12 @@
 // Recording persistence: a record & replay system is only useful if the
 // recording survives the recording process (offline replay, replication-
 // based fault tolerance — the §4.1 use cases), including processes that die
-// mid-write. Two on-disk formats share the "HTRC" magic:
-//
-// v1 (legacy, still loadable; written by save_recording_v1):
-//   magic "HTRC" | version u32=1 | thread_count u32
-//   per thread:  event_count u64 | events (point u64, type u8, src u32,
-//                                          value u64)
-//   trailer:     FNV-1a checksum u64 over everything after the magic
-//   One whole-file checksum: any torn byte discards the entire recording.
-//
-// v2 (current, streaming + crash-tolerant):
+// mid-write. The on-disk format is version 2, streaming and crash-tolerant;
+// a file of any other version (version 1 had one whole-file checksum) fails
+// as kBadVersion:
 //   magic "HTRC" | version u32=2 | thread_count u32 | header FNV u64
 //   chunk*:      thread u32 | event_count u32 | events | chunk FNV u64
+//                events: point u64 | type u8 | src u32 | value u64
 //   trailer:     thread u32=0xFFFFFFFF | event_count u32=0 | FNV u64
 //   Chunk checksums are chained (each chunk's FNV is seeded by the previous
 //   chunk's), so chunks cannot be reordered or spliced. A load walks chunks
@@ -33,16 +27,15 @@ namespace ht {
 class FaultInjector;
 
 inline constexpr std::uint32_t kRecordingFormatVersion = 2;
-inline constexpr std::uint32_t kRecordingFormatVersionV1 = 1;
 
 // Why a load failed (or was cut short).
 enum class RecordingLoadError : std::uint8_t {
   kNone = 0,   // complete, intact load
   kIo,         // open/read failure
   kBadMagic,   // not a recording file
-  kBadVersion, // unknown format version
-  kTruncated,  // file ends early (v2: a valid prefix was salvaged)
-  kChecksum,   // corrupted payload (v2: the prefix before it was salvaged)
+  kBadVersion, // a format version other than kRecordingFormatVersion
+  kTruncated,  // file ends early (a valid prefix was salvaged)
+  kChecksum,   // corrupted payload (the prefix before it was salvaged)
 };
 
 const char* recording_load_error_name(RecordingLoadError e);
@@ -50,11 +43,12 @@ const char* recording_load_error_name(RecordingLoadError e);
 struct RecordingLoadResult {
   // Present on a complete load AND on a salvaged-prefix load; nullopt only
   // when nothing could be recovered (bad magic/version, unreadable file,
-  // corrupt v2 header, any v1 failure).
+  // corrupt header).
   std::optional<Recording> recording;
   RecordingLoadError error = RecordingLoadError::kNone;
   bool partial = false;           // true when recording holds a prefix only
-  std::size_t chunks_loaded = 0;  // v2: intact chunks accepted
+  std::size_t chunks_loaded = 0;  // intact chunks accepted
+  std::uint32_t version = 0;      // kBadVersion: the version the file names
 
   bool complete() const {
     return recording.has_value() && error == RecordingLoadError::kNone;
@@ -62,11 +56,11 @@ struct RecordingLoadResult {
   std::string to_string() const;
 };
 
-// Streaming v2 writer: header at construction, one checksummed chunk per
+// Streaming writer: header at construction, one checksummed chunk per
 // append (flushed through the stream so a crash loses at most the chunk
 // being written), trailer at finish().
 //
-// Transient-failure hardening (DESIGN.md §11.4): a torn or failed block
+// Transient-failure hardening (DESIGN.md §11.3): a torn or failed block
 // write is retried up to max_write_attempts times with a capped backoff —
 // the stream is rewound to the block start first, so a retried tear never
 // leaves partial bytes on disk. Only after the retries are exhausted does
@@ -104,17 +98,13 @@ class RecordingStreamWriter {
   FaultInjector* faults_;
 };
 
-// Writes `recording` to `path` in v2 format; returns false on I/O failure
-// (including injected faults — a short write leaves a loadable prefix).
+// Writes `recording` to `path`; returns false on I/O failure (including
+// injected faults — a short write leaves a loadable prefix).
 bool save_recording(const Recording& recording, const std::string& path,
                     FaultInjector* faults = nullptr);
 
-// Legacy v1 writer, kept so compatibility is testable against real v1 bytes.
-bool save_recording_v1(const Recording& recording, const std::string& path);
-
-// Loads a recording with a structured reason. v2 truncation/corruption
-// salvages the longest valid prefix (error + partial set); v1 files load
-// only when fully intact.
+// Loads a recording with a structured reason. Truncation/corruption
+// salvages the longest valid prefix (error + partial set).
 RecordingLoadResult load_recording_ex(const std::string& path,
                                       FaultInjector* faults = nullptr);
 

@@ -32,7 +32,10 @@ ValidationResult validate_recording(const Recording& recording) {
              "event point decreases (log not in program order)"});
       }
       last_point = e.point;
-      if (e.type == LogEventType::kEdge) {
+      if (e.is_bump() && e.value == 0) {
+        r.issues.push_back({static_cast<ThreadId>(t), i,
+                            "bump stamped 0 (a post-bump counter is >= 1)"});
+      } else if (e.type == LogEventType::kEdge) {
         if (e.src >= n) {
           r.issues.push_back({static_cast<ThreadId>(t), i,
                               "edge source thread out of range"});
@@ -60,6 +63,11 @@ FileCheckResult check_recording_file(const std::string& path) {
     r.structure = validate_recording(*r.load.recording);
   }
   return r;
+}
+
+int FileCheckResult::exit_code(bool allow_partial) const {
+  if (const int code = load_exit_code(load, allow_partial)) return code;
+  return structure.ok() ? kExitOk : kExitStructure;
 }
 
 int exit_code_for(RecordingLoadError error) {

@@ -32,7 +32,10 @@ struct ValidationResult {
 //     (a self-edge would deadlock the replayer on itself);
 //   * per-thread event points are non-decreasing (logs are appended in
 //     program order, so a decreasing point means corruption — the replay
-//     cursor would skip the out-of-order events).
+//     cursor would skip the out-of-order events);
+//   * every bump (kResponse, kRegionEnd) carries a nonzero stamp: the
+//     recorder stamps the post-bump counter, which is always >= 1, so a
+//     zero stamp is not something a run writes.
 // Reachability of edge values cannot be decided from the recording alone
 // (deterministic PSRO bumps depend on the program), so it is not checked.
 ValidationResult validate_recording(const Recording& recording);
@@ -48,6 +51,8 @@ struct FileCheckResult {
 
   bool ok() const { return load.complete() && structure.ok(); }
   std::string to_string() const;
+  // trace_analyze validate's exit code (ToolExitCode below).
+  int exit_code(bool allow_partial) const;
 };
 
 FileCheckResult check_recording_file(const std::string& path);

@@ -9,7 +9,7 @@
 //      embedder provides walks the object population),
 //   2. seals the victim's dependence-recorder log at its last complete
 //      entry so degraded-run recordings stay loadable and lint-clean,
-//   3. notifies an observer (degradation governor, tests).
+//   3. notifies an observer (set_notify), if one is installed.
 //
 // Multiple victims can be quarantined concurrently by different
 // coordinators, so the counters are atomic; the enumerator itself must be

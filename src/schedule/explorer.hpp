@@ -124,7 +124,7 @@ class StatePairOracle {
   void forbid(StateKind from, StateKind to);
 
   // Admits the kind successions ownership seizure introduces (DESIGN.md
-  // §11.3) — victim-owned locked/Int states jumping to their seizure
+  // §11.2) — victim-owned locked/Int states jumping to their seizure
   // landings (and onward to the seizer's own re-acquisition within the same
   // step), plus Int falling back to the conflict's *from* kind when the
   // victim abandons a coordination (IntGuard restore). Call before

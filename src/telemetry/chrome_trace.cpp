@@ -40,7 +40,6 @@ const char* event_category(EventKind k) {
     case EventKind::kLeaseExpired:
     case EventKind::kQuarantine:
     case EventKind::kSeizure:
-    case EventKind::kGovernorFlip:
       return "resilience";
     default:
       return "thread";
@@ -97,12 +96,6 @@ void append_args(std::string& out, const Event& e) {
       out += "\"cycles\":" + json::number(static_cast<double>(e.arg0));
       out += ",\"object\":" + json::number(e.arg1);
       out += ",\"victim_tid\":" + json::number(e.arg2);
-      break;
-    case EventKind::kGovernorFlip:
-      out += "\"degraded\":" +
-             std::string(e.arg0 != 0 ? "true" : "false");
-      out += ",\"storm_windows\":" + json::number(e.arg1);
-      out += ",\"calm_windows\":" + json::number(e.arg2);
       break;
     case EventKind::kCoordBatch:
       out += "\"objects\":" + json::number(static_cast<double>(e.arg0));

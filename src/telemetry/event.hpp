@@ -3,7 +3,10 @@
 // One fixed 32-byte slot per event so the per-thread ring is a flat array the
 // writer can fill without allocation. The arg layout per kind is documented
 // on the enumerators and consumed by metrics.cpp (aggregation) and
-// chrome_trace.cpp (rendering); keep all three in sync.
+// chrome_trace.cpp (rendering); keep all three in sync. The kinds are numbered
+// contiguously from 1 and the numbers are the trace file format: renumbering
+// them needs a new trace_io.cpp version, so an older file is rejected rather
+// than misread. Consumers render a kind they do not know as "unknown".
 #pragma once
 
 #include <cstdint>
@@ -45,8 +48,6 @@ enum class EventKind : std::uint16_t {
                    // arg2 = tickets released by the quarantine
   kSeizure,        // arg0 = seizure latency cycles, arg1 = object id,
                    // arg2 = victim tid
-  kGovernorFlip,   // arg0 = 1 entering degraded / 0 recovering,
-                   // arg1 = storm windows observed, arg2 = calm windows
 
   // Batched coordination (DESIGN.md §13). Emitted requester-side once per
   // batch group of coordinate_batch_multi, alongside its kCoordRoundTrip.
@@ -75,10 +76,6 @@ enum class EventKind : std::uint16_t {
   // consecutive transitions of the same object id.
   kStateTransition,  // arg0 = pack_transition(from kind, to kind),
                      // arg1 = object id
-
-  // Kind 24 was kElisionFlush (barrier elision, removed: DESIGN.md §15).
-  // Rev-2 traces written before the removal may still carry it; every
-  // consumer treats it like any other unknown kind.
 };
 
 // arg2 flag bits for kOptConflict / kPessAcquire.
@@ -120,7 +117,6 @@ inline const char* event_kind_name(EventKind k) {
     case EventKind::kLeaseExpired: return "lease_expired";
     case EventKind::kQuarantine: return "quarantine";
     case EventKind::kSeizure: return "seizure";
-    case EventKind::kGovernorFlip: return "governor_flip";
     case EventKind::kCoordBatch: return "coord_batch";
     case EventKind::kCoordRequest: return "coord_request";
     case EventKind::kCoordBatchDrain: return "coord_batch_drain";

@@ -188,8 +188,6 @@ MetricsRegistry aggregate_metrics(const TraceSnapshot& snap) {
       reg.counter("ht_quarantines_total", "threads flipped to Quarantined");
   auto& seizures = reg.counter("ht_seizures_total",
                                "state words seized from quarantined threads");
-  auto& governor_flips = reg.counter("ht_governor_flips_total",
-                                     "degradation governor mode changes");
   auto& coord_batches = reg.counter("ht_coord_batches_total",
                                     "batched coordination rounds");
   auto& coord_batch_objects =
@@ -265,9 +263,6 @@ MetricsRegistry aggregate_metrics(const TraceSnapshot& snap) {
         case EventKind::kSeizure:
           ++seizures;
           seizure_hist.add(e.arg0);
-          break;
-        case EventKind::kGovernorFlip:
-          ++governor_flips;
           break;
         case EventKind::kCoordBatch:
           ++coord_batches;

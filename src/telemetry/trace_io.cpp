@@ -10,13 +10,11 @@ namespace ht::telemetry {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4C455448u;  // "HTEL"
-// v2 added the causal-span and state-dwell event kinds (kCoordRequest,
-// kCoordBatchDrain, kStateTransition) and widened the documented arg layout
-// of the response-flavored kinds to carry watermark ranges. The container
-// layout is unchanged, so v1 traces still load — they just predate the new
-// kinds.
-constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kMinVersion = 1;
+// Only this version loads. v3 renumbered the event kinds when the governor
+// flip (old 19) and the elision flush (old 24) were retired; the container
+// layout is the same as v2's, so the version is what stops an older file's
+// kinds from being read under the new numbers.
+constexpr std::uint32_t kVersion = 3;
 // A corrupt count must not trigger a giant allocation (same guard idiom as
 // recording_io).
 constexpr std::uint64_t kMaxEventsPerThread = std::uint64_t{1} << 28;
@@ -81,9 +79,7 @@ TraceLoadResult load_trace(const std::string& path, TraceSnapshot& out) {
   if (!get_pod(in, magic)) return TraceLoadResult::kTruncated;
   if (magic != kMagic) return TraceLoadResult::kBadMagic;
   if (!get_pod(in, version)) return TraceLoadResult::kTruncated;
-  if (version < kMinVersion || version > kVersion) {
-    return TraceLoadResult::kBadVersion;
-  }
+  if (version != kVersion) return TraceLoadResult::kBadVersion;
 
   out = TraceSnapshot{};
   if (!get_pod(in, out.cycles_per_second)) return TraceLoadResult::kTruncated;

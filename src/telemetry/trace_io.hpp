@@ -6,6 +6,7 @@
 //   per thread: u32 tid | u32 reserved | u64 recorded | u64 dropped |
 //               u64 event_count | event_count * Event (32 raw bytes each)
 //
+// The version is 3; a file of any other version fails as kBadVersion.
 // Like recording_io, loads report WHY a file was rejected so tools can exit
 // with a documented code instead of a generic failure.
 #pragma once

@@ -14,13 +14,15 @@
 //     and is not counted — footnote 7);
 //   * a pessimistic object moves back once
 //     NnonConfl >= Kconfl*Nconfl + Inertia (Eq. 5), and thereafter must stay
-//     optimistic ("Checks and balances");
+//     optimistic ("Checks and balances"; the section's alternative of
+//     repeated trips at a larger cutoff is not built);
 //   * extension (§7.5 suggestion, off by default): a pessimistic object whose
 //     accesses keep triggering *contended* transitions — i.e. coordination
 //     anyway — escapes back to optimistic states.
+// Every decision reads only the object's own profile word and the config:
+// there is no global mode that overrides the per-object rule.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "metadata/object_meta.hpp"
@@ -38,13 +40,6 @@ struct PolicyConfig {
   // §7.5 extension: escape to optimistic after this many contended
   // pessimistic transitions (0 disables).
   std::uint32_t contended_escape_threshold = 0;
-  // §6.2 alternative: "the policy could allow repeated transitions from
-  // optimistic to pessimistic, but with a greater Cutoff_confl value."
-  // When > 1, an object that already made one pessimistic round trip may
-  // transfer again once its conflict count reaches
-  // cutoff_confl * repess_cutoff_multiplier (0/1 keeps the default
-  // stay-optimistic rule).
-  std::uint32_t repess_cutoff_multiplier = 0;
 
   static PolicyConfig infinite() {
     PolicyConfig c;
@@ -56,56 +51,25 @@ struct PolicyConfig {
     c.contended_escape_threshold = threshold;
     return c;
   }
-  static PolicyConfig with_repess(std::uint32_t multiplier = 4) {
-    PolicyConfig c;
-    c.repess_cutoff_multiplier = multiplier;
-    return c;
-  }
 };
 
 class AdaptivePolicy {
  public:
   explicit AdaptivePolicy(PolicyConfig cfg = {}) : cfg_(cfg) {}
-  // The degraded flag is a plain value for copies (trackers are normally
-  // constructed in place; a copy snapshots the current mode).
-  AdaptivePolicy(const AdaptivePolicy& o)
-      : cfg_(o.cfg_), degraded_(o.degraded()) {}
-  AdaptivePolicy& operator=(const AdaptivePolicy& o) {
-    cfg_ = o.cfg_;
-    degraded_.store(o.degraded(), std::memory_order_relaxed);
-    return *this;
-  }
 
   const PolicyConfig& config() const { return cfg_; }
 
-  // Degradation-governor override (src/resilience/, DESIGN.md §11): while
-  // degraded, every conflicting transition transfers to pessimistic (except
-  // at an infinite cutoff) and no unlock goes back — global coarse mode on
-  // top of the per-object policy, flipped under coordination storms and
-  // restored under calm.
-  void set_degraded(bool d) { degraded_.store(d, std::memory_order_relaxed); }
-  bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
-
   // Called when an optimistic conflicting transition completes. Counts the
   // conflict (explicit coordination only) and decides whether the object
-  // transfers to a pessimistic state (Fig 10 line 46, Eq. 4). At an infinite
-  // cutoff nothing transfers, not even while degraded, but the count still
+  // transfers to a pessimistic state (Fig 10 line 46, Eq. 4). An object that
+  // came back from pessimistic states stays optimistic (§6.2 "Checks and
+  // balances"). At an infinite cutoff nothing transfers, but the count still
   // runs: it is the per-object conflict census of the Fig 6 limit study.
   bool to_pess_on_conflict(ObjectMeta& m, bool used_explicit) {
-    if (degraded() && !cfg_.infinite_cutoff) return true;
     if (!used_explicit) return false;
     const ProfileWord p =
         m.profile().update([](ProfileWord w) { return w.with_opt_conflict_inc(); });
-    if (cfg_.infinite_cutoff) return false;
-    if (p.must_stay_opt()) {
-      // §6.2 alternative: a second (or later) trip is allowed at an
-      // escalated cutoff, so only persistently conflicting objects re-pay
-      // the transfer.
-      if (cfg_.repess_cutoff_multiplier <= 1) return false;
-      return p.opt_conflicts() >=
-             static_cast<std::uint64_t>(cfg_.cutoff_confl) *
-                 cfg_.repess_cutoff_multiplier;
-    }
+    if (cfg_.infinite_cutoff || p.must_stay_opt()) return false;
     return p.opt_conflicts() >= cfg_.cutoff_confl;
   }
 
@@ -130,7 +94,6 @@ class AdaptivePolicy {
   // has actually landed (an unlock CAS can fail when a concurrent reader
   // joins, in which case the decision must not leave side effects).
   bool should_go_opt(ObjectMeta& m) const {
-    if (degraded()) return false;
     const ProfileWord p = m.profile().load();
     const bool by_formula =
         static_cast<std::uint64_t>(p.pess_non_confl()) >=
@@ -151,7 +114,6 @@ class AdaptivePolicy {
 
  private:
   PolicyConfig cfg_;
-  std::atomic<bool> degraded_{false};
 };
 
 }  // namespace ht

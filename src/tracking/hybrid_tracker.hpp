@@ -201,7 +201,7 @@ class HybridTracker {
 
  private:
   // At an infinite cutoff nothing goes pessimistic: not a conflict landing,
-  // not a degraded governor (AdaptivePolicy), not a seized Int.
+  // not a seized Int.
   bool optimistic_only() const { return policy_.config().infinite_cutoff; }
 
   // One observation per transition: the Table 1 counter of an optimistic

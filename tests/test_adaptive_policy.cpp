@@ -127,29 +127,6 @@ TEST(AdaptivePolicy, EscapeDisabledByDefault) {
   EXPECT_FALSE(p.should_go_opt(m));
 }
 
-TEST(AdaptivePolicy, RepessAllowsSecondTripAtEscalatedCutoff) {
-  // §6.2 alternative: "the policy could allow repeated transitions from
-  // optimistic to pessimistic, but with a greater Cutoff_confl value."
-  PolicyConfig cfg = PolicyConfig::with_repess(/*multiplier=*/3);
-  cfg.cutoff_confl = 2;
-  cfg.inertia = 1;
-  AdaptivePolicy p(cfg);
-  ObjectMeta m;
-
-  // First trip at the base cutoff (2 conflicts).
-  EXPECT_FALSE(p.to_pess_on_conflict(m, true));
-  EXPECT_TRUE(p.to_pess_on_conflict(m, true));
-  p.note_pess_transition(m, false);
-  ASSERT_TRUE(p.should_go_opt(m));
-  p.commit_go_opt(m);  // returns, pinned... but repess allowed
-
-  // Second trip requires cutoff * multiplier = 6 total conflicts.
-  EXPECT_FALSE(p.to_pess_on_conflict(m, true));  // 3
-  EXPECT_FALSE(p.to_pess_on_conflict(m, true));  // 4
-  EXPECT_FALSE(p.to_pess_on_conflict(m, true));  // 5
-  EXPECT_TRUE(p.to_pess_on_conflict(m, true));   // 6 >= 6
-}
-
 TEST(AdaptivePolicy, RepessDisabledKeepsStayOptRule) {
   PolicyConfig cfg;
   cfg.cutoff_confl = 1;

@@ -87,19 +87,6 @@ TEST(HbOrder, EdgeAnchorsToLastBumpStampedAtOrBelow) {
   EXPECT_TRUE(hb.concurrent({0, 2}, {1, 0}));
 }
 
-TEST(HbOrder, ZeroStampBumpsDoNotAnchor) {
-  // Legacy recordings stamp bumps 0 ("unknown"): the edge is treated as
-  // satisfied by unlogged bumps rather than mis-anchored.
-  Trace tr;
-  tr.threads.resize(2);
-  tr.threads[0] = {bump(0, 0), bump(0, 0)};
-  tr.threads[1] = {edge(1, 0, 1)};
-  const HbOrder hb = HbOrder::build(tr);
-  EXPECT_TRUE(hb.acyclic());
-  EXPECT_EQ(hb.cross_arc_count(), 0u);
-  EXPECT_TRUE(hb.concurrent({0, 1}, {1, 0}));
-}
-
 TEST(HbOrder, MutualWaitIsCyclic) {
   // Each thread's edge needs the other's bump, and each bump comes after
   // the edge in program order: no real-time execution produces this.

@@ -160,13 +160,11 @@ TEST_F(OptFixture, ExplicitCoordinationWithRunningOwner) {
 }
 
 // Optimistic tracking is hybrid at an infinite cutoff: past Cutoff_confl
-// explicit conflicts, and even under a degraded governor, objects stay
-// optimistic — while the profile word still counts every explicit conflict
+// explicit conflicts, objects stay optimistic — while the profile word still counts every explicit conflict
 // (the Fig 6 census).
 TEST(OptimisticPolicy, ExplicitConflictsAreCountedButNeverGoPessimistic) {
   Runtime rt;
   Tracker tracker(rt);
-  tracker.policy().set_degraded(true);
   const std::uint32_t rounds = 2 * PolicyConfig{}.cutoff_confl + 1;
   ThreadContext& t0 = rt.register_thread();
   TrackedVar<std::uint64_t> var;

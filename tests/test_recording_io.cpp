@@ -1,6 +1,6 @@
-// Recording serialization: round trips, corruption handling (v2 salvages
-// the longest valid prefix; v1 is all-or-nothing), and the analysis /
-// DOT-export utilities.
+// Recording serialization: round trips, corruption handling (a torn file
+// salvages the longest valid prefix), retired format versions, and the
+// analysis / DOT-export utilities.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +9,7 @@
 
 #include "recorder/recording_analysis.hpp"
 #include "recorder/recording_io.hpp"
+#include "recorder/recording_validate.hpp"
 #include "recorder/replayer.hpp"
 
 namespace ht {
@@ -18,7 +19,7 @@ Recording sample_recording() {
   Recording r;
   r.threads.resize(3);
   r.threads[0].events.push_back({5, LogEventType::kEdge, 1, 42});
-  r.threads[0].events.push_back({9, LogEventType::kResponse, kNoThread, 0});
+  r.threads[0].events.push_back({9, LogEventType::kResponse, kNoThread, 1});
   r.threads[1].events.push_back({2, LogEventType::kEdge, 2, 7});
   r.threads[1].events.push_back({2, LogEventType::kEdge, 0, 3});
   // thread 2: empty log
@@ -83,6 +84,47 @@ TEST(RecordingIo, RejectsUnknownVersion) {
   std::remove(path.c_str());
 }
 
+// Version 1 had no chunks and one FNV-1a checksum over everything after the
+// magic. Its writer is gone, so the bytes are laid out here by hand: a
+// complete, correctly checksummed two-thread file with one edge. It fails on
+// its version, the message names that version, and `trace_analyze validate`
+// exits 3 on it.
+TEST(RecordingIo, V1FileFailsAsBadVersion) {
+  std::string body;
+  const auto put = [&body](auto v) {
+    body.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(std::uint32_t{1});  // version
+  put(std::uint32_t{2});  // threads
+  put(std::uint64_t{1});  // thread 0: one event
+  put(std::uint64_t{5});  //   point
+  put(static_cast<std::uint8_t>(LogEventType::kEdge));
+  put(std::uint32_t{1});  //   src
+  put(std::uint64_t{3});  //   value
+  put(std::uint64_t{0});  // thread 1: no events
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const char c : body) {
+    fnv ^= static_cast<unsigned char>(c);
+    fnv *= 0x100000001b3ULL;
+  }
+  put(fnv);
+  const std::string path = temp_path("ht_recording_v1.bin");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "HTRC" << body;
+  }
+
+  const FileCheckResult r = check_recording_file(path);
+  EXPECT_FALSE(r.load.recording.has_value());
+  EXPECT_EQ(r.load.error, RecordingLoadError::kBadVersion);
+  EXPECT_EQ(r.load.version, 1u);
+  EXPECT_NE(r.to_string().find("version 1"), std::string::npos)
+      << r.to_string();
+  EXPECT_EQ(r.exit_code(/*allow_partial=*/false), kExitBadVersion);
+  EXPECT_EQ(r.exit_code(/*allow_partial=*/true), kExitBadVersion);
+  std::remove(path.c_str());
+}
+
 TEST(RecordingIo, TruncatedTrailerSalvagesFullContent) {
   // Cutting into the trailer leaves every data chunk intact: the salvage is
   // content-complete but flagged partial (the file cannot prove it is whole).
@@ -128,33 +170,6 @@ TEST(RecordingIo, BitFlipSalvagesPrefixBeforeCorruption) {
   for (const ThreadLog& log : r.recording->threads) {
     EXPECT_TRUE(log.events.empty());
   }
-  std::remove(path.c_str());
-}
-
-// --- v1 compatibility ---------------------------------------------------------
-
-TEST(RecordingIo, V1FilesStillLoad) {
-  const Recording orig = sample_recording();
-  const std::string path = temp_path("ht_recording_v1.bin");
-  ASSERT_TRUE(save_recording_v1(orig, path));
-  const RecordingLoadResult r = load_recording_ex(path);
-  ASSERT_TRUE(r.complete()) << r.to_string();
-  ASSERT_EQ(r.recording->threads.size(), orig.threads.size());
-  for (std::size_t t = 0; t < orig.threads.size(); ++t) {
-    EXPECT_EQ(r.recording->threads[t].events, orig.threads[t].events) << t;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(RecordingIo, V1TruncationRejectsWholeFile) {
-  // v1 has one whole-file checksum: nothing can be salvaged.
-  const std::string path = temp_path("ht_recording_v1_trunc.bin");
-  ASSERT_TRUE(save_recording_v1(sample_recording(), path));
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 9);
-  const RecordingLoadResult r = load_recording_ex(path);
-  EXPECT_FALSE(r.recording.has_value());
-  EXPECT_EQ(r.error, RecordingLoadError::kTruncated);
   std::remove(path.c_str());
 }
 

@@ -1,9 +1,8 @@
 // Self-healing coordination (DESIGN.md §11): backoff escalation against a
 // fake clock, watchdog diagnostics content, the quarantine state machine
 // (terminal status, waiter release, victim self-parking at every safe-point
-// flavor), ownership seizure landings, the QuarantineSweep wiring, the
-// degradation governor's hysteresis, recorder sealing, stream-writer retry
-// hardening — and the acceptance scenario: a run with a permanently stuck
+// flavor), ownership seizure landings, the QuarantineSweep wiring, recorder
+// sealing, stream-writer retry hardening — and the acceptance scenario: a run with a permanently stuck
 // thread completes under the kQuarantine policy (and demonstrably fail-fasts
 // without it) with a loadable, lint-clean recording.
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "recorder/recorder.hpp"
 #include "recorder/recording_io.hpp"
 #include "recorder/recording_validate.hpp"
-#include "resilience/governor.hpp"
 #include "resilience/quarantine.hpp"
 #include "resilience/seizure.hpp"
 #include "runtime/runtime.hpp"
@@ -419,123 +417,6 @@ TEST(QuarantineSweep, SweepsSealsAndNotifiesThroughTheRuntimeHook) {
   EXPECT_EQ(sealed[0], victim.id);
   ASSERT_EQ(notified.size(), 1u);
   EXPECT_EQ(notified[0], victim.id);
-}
-
-// --- degradation governor ------------------------------------------------------
-
-TEST(Governor, StormClassification) {
-  AdaptivePolicy policy;
-  resilience::GovernorConfig gc;
-  gc.storm_mean_cycles = 1000;
-  gc.storm_restarts = 4;
-  gc.min_samples = 8;
-  resilience::ResilienceGovernor gov(&policy, gc);
-
-  resilience::WindowSample calm;
-  calm.coord_round_trips = 100;
-  calm.explicit_round_trips = 100;
-  calm.coord_cycles_total = 100 * 999;  // mean just below the bar
-  EXPECT_FALSE(gov.is_storm(calm));
-
-  resilience::WindowSample w = calm;
-  w.quarantines = 1;
-  EXPECT_TRUE(gov.is_storm(w));
-  w = calm;
-  w.lease_expiries = 1;
-  EXPECT_TRUE(gov.is_storm(w));
-  w = calm;
-  w.region_restarts = 4;
-  EXPECT_TRUE(gov.is_storm(w));
-  w = calm;
-  w.coord_cycles_total = 100 * 1000;  // mean hits the bar
-  EXPECT_TRUE(gov.is_storm(w));
-  // Below min_samples the mean is noise, not a storm.
-  w.coord_round_trips = 4;
-  w.explicit_round_trips = 4;
-  w.coord_cycles_total = 4 * 100'000;
-  EXPECT_FALSE(gov.is_storm(w));
-  w = calm;
-  w.pess_waits = 8;
-  w.pess_wait_cycles_total = 8 * 1000;
-  EXPECT_TRUE(gov.is_storm(w));
-}
-
-// Hysteresis (§6 Inertia analogue): consecutive storm windows degrade, a
-// longer run of consecutive calm windows recovers, and an interrupting storm
-// resets the calm run so a flickering storm cannot thrash the global mode.
-TEST(Governor, DegradeAndRecoverWithHysteresis) {
-  AdaptivePolicy policy;
-  resilience::GovernorConfig gc;
-  gc.storm_windows_to_degrade = 2;
-  gc.calm_windows_to_recover = 3;
-  resilience::ResilienceGovernor gov(&policy, gc);
-
-  resilience::WindowSample storm;
-  storm.quarantines = 1;
-  const resilience::WindowSample calm;
-
-  EXPECT_FALSE(gov.note_window(storm));  // 1 of 2
-  EXPECT_FALSE(policy.degraded());
-  EXPECT_TRUE(gov.note_window(storm));  // 2 of 2: flip down
-  EXPECT_TRUE(policy.degraded());
-  EXPECT_TRUE(gov.degraded());
-  EXPECT_EQ(gov.flips(), 1u);
-
-  // Degraded policy transfers every conflicting transition to pessimistic,
-  // even ones the per-object profile would keep optimistic.
-  ObjectMeta m;
-  m.reset(StateWord::wr_ex_opt(0));
-  EXPECT_TRUE(policy.to_pess_on_conflict(m, /*used_explicit=*/false));
-
-  EXPECT_FALSE(gov.note_window(calm));  // 1 of 3
-  EXPECT_FALSE(gov.note_window(calm));  // 2 of 3
-  EXPECT_FALSE(gov.note_window(storm));  // calm run resets
-  EXPECT_FALSE(gov.note_window(calm));
-  EXPECT_FALSE(gov.note_window(calm));
-  EXPECT_TRUE(gov.note_window(calm));  // 3 consecutive: flip back
-  EXPECT_FALSE(policy.degraded());
-  EXPECT_EQ(gov.flips(), 2u);
-  EXPECT_EQ(gov.storm_windows_total(), 3u);
-  EXPECT_EQ(gov.calm_windows_total(), 5u);
-}
-
-TEST(Governor, WindowFromSnapshotFoldsResilienceSignals) {
-  telemetry::TraceSnapshot snap;
-  telemetry::ThreadTrace t;
-  t.tid = 0;
-  auto ev = [](telemetry::EventKind k, std::uint64_t arg0, std::uint32_t arg1,
-               std::uint32_t arg2) {
-    telemetry::Event e;
-    e.tsc = 1;
-    e.arg0 = arg0;
-    e.arg1 = arg1;
-    e.arg2 = arg2;
-    e.kind = static_cast<std::uint16_t>(k);
-    return e;
-  };
-  t.events = {
-      ev(telemetry::EventKind::kCoordRoundTrip, 100, 1, 0),  // explicit
-      ev(telemetry::EventKind::kCoordRoundTrip, 50, 2, 1),   // implicit
-      ev(telemetry::EventKind::kPessWait, 30, 5, 0),
-      ev(telemetry::EventKind::kRegionRestart, 10, 0, 0),
-      ev(telemetry::EventKind::kLeaseExpired, 3, 7, 128),
-      ev(telemetry::EventKind::kQuarantine, 3, 9, 1),
-  };
-  snap.threads.push_back(std::move(t));
-
-  const resilience::WindowSample w = resilience::window_from_snapshot(snap);
-  EXPECT_EQ(w.coord_round_trips, 2u);
-  EXPECT_EQ(w.explicit_round_trips, 1u);
-  EXPECT_EQ(w.coord_cycles_total, 150u);
-  EXPECT_EQ(w.pess_waits, 1u);
-  EXPECT_EQ(w.pess_wait_cycles_total, 30u);
-  EXPECT_EQ(w.region_restarts, 1u);
-  EXPECT_EQ(w.lease_expiries, 1u);
-  EXPECT_EQ(w.quarantines, 1u);
-
-  AdaptivePolicy policy;
-  resilience::ResilienceGovernor gov(&policy);
-  EXPECT_TRUE(gov.is_storm(w));  // the quarantine alone makes it a storm
 }
 
 // --- recorder sealing and stream hardening ------------------------------------

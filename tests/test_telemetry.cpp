@@ -307,19 +307,47 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   std::remove(path.c_str());
 }
 
-// Kind 24 was kElisionFlush. Rev-2 traces written before barrier elision was
-// removed may carry it: they must still load and render.
-TEST(TraceIo, RetiredElisionFlushKindStillLoads) {
-  const std::string path = temp_path("ht_trace_retired_kind.bin");
+// Version 3 renumbered the event kinds, so a file of an earlier version
+// would be misread under the new numbers: it fails on its version (and
+// trace_export exits 3 on it) instead.
+TEST(TraceIo, EarlierVersionsFailAsBadVersion) {
+  const std::string path = temp_path("ht_trace_old_version.bin");
+  ASSERT_TRUE(save_trace(sample_snapshot(), path));
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 8u);
+  ASSERT_EQ(bytes[4], '\x03');  // the version word, little-endian
+  for (const char old_version : {'\x01', '\x02'}) {
+    bytes[4] = old_version;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    TraceSnapshot out;
+    EXPECT_EQ(load_trace(path, out), TraceLoadResult::kBadVersion)
+        << "version " << int{old_version};
+  }
+  std::remove(path.c_str());
+}
+
+// A kind this build does not know (here, one past the last) still loads from
+// a current-version file and renders as "unknown" in a valid Chrome trace.
+TEST(TraceIo, UnknownKindLoadsAndRendersAsUnknown) {
+  const std::string path = temp_path("ht_trace_unknown_kind.bin");
+  const auto unknown = static_cast<EventKind>(
+      static_cast<std::uint16_t>(EventKind::kStateTransition) + 1);
   TraceSnapshot snap = sample_snapshot();
-  snap.threads[0].events.push_back(
-      make_event(static_cast<EventKind>(24), 5000, 896, 128, 7, 4));
+  snap.threads[0].events.push_back(make_event(unknown, 5000, 896, 128, 7, 4));
   ASSERT_TRUE(save_trace(snap, path));
 
   TraceSnapshot loaded;
   ASSERT_EQ(load_trace(path, loaded), TraceLoadResult::kOk);
   ASSERT_EQ(loaded.threads[0].events.size(), 4u);
-  EXPECT_STREQ(event_kind_name(static_cast<EventKind>(24)), "unknown");
+  EXPECT_STREQ(event_kind_name(unknown), "unknown");
   std::size_t events = 0;
   std::string error;
   EXPECT_TRUE(validate_chrome_trace(to_chrome_trace_json(loaded), &events,
@@ -395,12 +423,11 @@ TEST(Metrics, AggregateFoldsEventsIntoCountersAndHistograms) {
       make_event(EventKind::kQuarantine, 15, 3, 9, 2),
       make_event(EventKind::kSeizure, 16, 500, 10, 3),
       make_event(EventKind::kSeizure, 17, 30, 11, 3),
-      make_event(EventKind::kGovernorFlip, 18, 1, 2, 0),
   };
   snap.threads.push_back(std::move(t));
 
   MetricsRegistry reg = aggregate_metrics(snap);
-  EXPECT_EQ(reg.counter("ht_events_total"), 18u);
+  EXPECT_EQ(reg.counter("ht_events_total"), 17u);
   EXPECT_EQ(reg.counter("ht_events_dropped_total"), 5u);
   EXPECT_EQ(reg.counter("ht_coord_roundtrips_total"), 2u);
   EXPECT_EQ(reg.counter("ht_coord_implicit_total"), 1u);
@@ -428,7 +455,6 @@ TEST(Metrics, AggregateFoldsEventsIntoCountersAndHistograms) {
   EXPECT_EQ(reg.counter("ht_lease_expiries_total"), 1u);
   EXPECT_EQ(reg.counter("ht_quarantines_total"), 1u);
   EXPECT_EQ(reg.counter("ht_seizures_total"), 2u);
-  EXPECT_EQ(reg.counter("ht_governor_flips_total"), 1u);
   EXPECT_EQ(reg.histogram("ht_seizure_cycles").count(), 2u);
   EXPECT_EQ(reg.histogram("ht_seizure_cycles").sum(), 530u);
   EXPECT_EQ(reg.histogram("ht_seizure_cycles").max(), 500u);
@@ -546,11 +572,10 @@ TEST(ChromeTrace, ResilienceEventsGolden) {
   snap.base_tsc = 100;
   ThreadTrace t;
   t.tid = 1;
-  t.recorded = 4;
+  t.recorded = 3;
   t.events = {make_event(EventKind::kLeaseExpired, 110, 2, 7, 4096, 1),
               make_event(EventKind::kQuarantine, 120, 2, 9, 3, 1),
-              make_event(EventKind::kSeizure, 180, 40, 5, 2, 1),
-              make_event(EventKind::kGovernorFlip, 200, 1, 2, 0, 1)};
+              make_event(EventKind::kSeizure, 180, 40, 5, 2, 1)};
   snap.threads.push_back(std::move(t));
 
   const std::string expected =
@@ -568,17 +593,13 @@ TEST(ChromeTrace, ResilienceEventsGolden) {
       "\"tickets_released\":3}},"
       "{\"name\":\"seizure\",\"cat\":\"resilience\",\"pid\":1,\"tid\":1,"
       "\"ph\":\"X\",\"ts\":40.000,\"dur\":40.000,"
-      "\"args\":{\"cycles\":40,\"object\":5,\"victim_tid\":2}},"
-      "{\"name\":\"governor_flip\",\"cat\":\"resilience\",\"pid\":1,"
-      "\"tid\":1,\"ph\":\"i\",\"s\":\"t\",\"ts\":100.000,"
-      "\"args\":{\"degraded\":true,\"storm_windows\":2,"
-      "\"calm_windows\":0}}]}";
+      "\"args\":{\"cycles\":40,\"object\":5,\"victim_tid\":2}}]}";
   EXPECT_EQ(to_chrome_trace_json(snap), expected);
 
   std::size_t events = 0;
   std::string error;
   EXPECT_TRUE(validate_chrome_trace(expected, &events, &error)) << error;
-  EXPECT_EQ(events, 6u);
+  EXPECT_EQ(events, 5u);
 }
 
 TEST(ChromeTrace, ValidatorRejectsGarbage) {

@@ -115,53 +115,6 @@ TEST(TraceLint, AcceptsAcyclicCrossDependences) {
   EXPECT_EQ(lint.graph_arcs, 2u);
 }
 
-// Pre-stamping recordings carry value 0 on every response: no response
-// participates in the graph and the checks pass vacuously.
-TEST(TraceLint, LegacyZeroStampsDegradeGracefully) {
-  Recording r;
-  r.threads.resize(2);
-  r.threads[0].events.push_back({1, LogEventType::kResponse, kNoThread, 0});
-  r.threads[1].events.push_back({2, LogEventType::kEdge, 0, 9});
-  const LintResult lint = lint_recording(r);
-  EXPECT_TRUE(lint.ok()) << lint.to_string();
-  EXPECT_EQ(lint.graph_arcs, 0u);
-}
-
-// Mixed legacy/v2 logs (a v1 recording re-saved by a v2 writer, or a run
-// spanning a recorder upgrade) interleave unknown-stamp (0) bumps with
-// stamped ones. The zero stamps must not trip the strict-increase check,
-// but they still count as bumps for the stamp-vs-bump-count rule.
-TEST(TraceLint, MixedLegacyAndStampedBumpsPass) {
-  Recording r;
-  r.threads.resize(2);
-  r.threads[0].events.push_back({1, LogEventType::kResponse, kNoThread, 0});
-  r.threads[0].events.push_back({3, LogEventType::kResponse, kNoThread, 2});
-  r.threads[0].events.push_back({5, LogEventType::kRegionEnd, kNoThread, 0});
-  r.threads[0].events.push_back({7, LogEventType::kRegionEnd, kNoThread, 4});
-  // The edge anchors to the stamp-2 response; the unknown-stamp bumps do
-  // not participate in the graph.
-  r.threads[1].events.push_back({2, LogEventType::kEdge, 0, 2});
-  const LintResult lint = lint_recording(r);
-  EXPECT_TRUE(lint.ok()) << lint.to_string();
-  EXPECT_EQ(lint.graph_arcs, 1u);
-}
-
-// The 3rd bump of a thread cannot leave the counter at 2: stamped values
-// must be at least the bump ordinal even when earlier stamps are unknown.
-TEST(TraceLint, FlagsStampBelowBumpOrdinal) {
-  Recording r;
-  r.threads.resize(1);
-  r.threads[0].events.push_back({1, LogEventType::kResponse, kNoThread, 0});
-  r.threads[0].events.push_back({2, LogEventType::kResponse, kNoThread, 1});
-  r.threads[0].events.push_back({4, LogEventType::kRegionEnd, kNoThread, 2});
-  const LintResult lint = lint_recording(r);
-  EXPECT_FALSE(lint.ok());
-  ASSERT_FALSE(lint.issues.empty());
-  EXPECT_NE(lint.issues[0].message.find("below the response count"),
-            std::string::npos)
-      << lint.to_string();
-}
-
 TEST(TraceLint, SalvagedFlagSurfacesInReport) {
   const LintResult lint = lint_recording(genuine_recording(), /*salvaged=*/true);
   EXPECT_TRUE(lint.ok());  // the checks themselves still pass
@@ -179,9 +132,8 @@ using analysis::TraceEvent;
 using analysis::TraceEventKind;
 
 // The arcs HbOrder's graph must hold, found by plain scans: each edge from
-// the last bump of its source stamped <= its value (stamps of 0 never
-// anchor), then on annotated traces each release to the next acquire of the
-// same lock in seq order.
+// the last bump of its source stamped <= its value, then on annotated traces
+// each release to the next acquire of the same lock in seq order.
 std::vector<HbArc> reference_arcs(const Trace& tr) {
   std::vector<HbArc> arcs;
   std::map<int, std::vector<std::pair<std::uint64_t, NodeRef>>> per_lock;
@@ -193,7 +145,7 @@ std::vector<HbArc> reference_arcs(const Trace& tr) {
         std::optional<std::size_t> anchor;
         for (std::size_t j = 0; j < tr.threads[e.src].size(); ++j) {
           const TraceEvent& b = tr.threads[e.src][j];
-          if (b.is_bump() && b.value != 0 && b.value <= e.value) anchor = j;
+          if (b.is_bump() && b.value <= e.value) anchor = j;
         }
         if (anchor) arcs.push_back({NodeRef{e.src, *anchor}, node});
       } else if (tr.annotated && (e.kind == TraceEventKind::kAcquire ||
@@ -285,8 +237,7 @@ KahnReference kahn(const std::vector<std::size_t>& lengths,
 }
 
 // A recording produced by a simulated interleaving: at each step one thread
-// bumps its counter (logged stamped, logged with the legacy zero stamp, or
-// unlogged) or records an edge reading some other thread's counter at or
+// bumps its counter (logged with its stamp, or unlogged) or records an edge reading some other thread's counter at or
 // below its current value. Real-time order then contains every anchor arc,
 // so the recording is acyclic. With `forge`, one edge's value is raised
 // past its source's stamps at that moment, which can point the edge at a
@@ -311,8 +262,7 @@ Recording interleaved_recording(std::uint64_t seed, bool forge) {
       if (roll == 3) continue;  // an unlogged bump
       const LogEventType type =
           roll == 0 ? LogEventType::kResponse : LogEventType::kRegionEnd;
-      const std::uint64_t stamp = rng() % 6 == 0 ? 0 : counter[t];
-      events.push_back({point, type, kNoThread, stamp});
+      events.push_back({point, type, kNoThread, counter[t]});
     } else {
       const std::size_t src = (t + 1 + rng() % (n - 1)) % n;
       const std::uint64_t v =

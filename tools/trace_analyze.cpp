@@ -1,5 +1,5 @@
-// trace_analyze: offline checks of recording files (v1 or v2, salvaged
-// prefixes included).
+// trace_analyze: offline checks of recording files (format version 2,
+// salvaged prefixes included; any other version exits 3).
 //
 //   trace_analyze validate [--allow-partial] <recording.bin>
 //     structural well-formedness only (recorder/recording_validate.hpp), the
@@ -25,7 +25,7 @@
 //   options of the analysis:
 //     --json FILE        write the full analysis report as JSON
 //     --bench FILE       write a BENCH_*.json throughput report (events/sec)
-//     --allow-partial    accept a salvaged v2 prefix
+//     --allow-partial    accept a salvaged prefix
 //     --make-violation FILE
 //                        write a synthetic recording with a dependence
 //                        cycle (two threads each waiting on the other's
@@ -63,8 +63,7 @@ int usage() {
 int validate(const std::string& path, bool allow_partial) {
   const ht::FileCheckResult r = ht::check_recording_file(path);
   std::printf("%s: %s\n", path.c_str(), r.to_string().c_str());
-  if (const int code = ht::load_exit_code(r.load, allow_partial)) return code;
-  return r.structure.ok() ? ht::kExitOk : ht::kExitStructure;
+  return r.exit_code(allow_partial);
 }
 
 // `lint`: structural checks plus the cross-thread dependence checks.
@@ -165,7 +164,8 @@ int main(int argc, char** argv) {
     return ht::kExitIo;
   }
 
-  if (!bench_out.empty() && rep.load.recording.has_value()) {
+  if (!bench_out.empty() && rep.load.recording.has_value() &&
+      rep.lint.structure.ok()) {
     // Throughput of the full pipeline (trace build + HB order + region
     // check + analytics), amortized over enough repetitions to measure.
     using Clock = std::chrono::steady_clock;

@@ -21,7 +21,6 @@
 #include "faultinject/fault_injector.hpp"
 #include "recorder/recorder.hpp"
 #include "recorder/recording_io.hpp"
-#include "resilience/governor.hpp"
 #include "resilience/quarantine.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/telemetry.hpp"
@@ -69,7 +68,7 @@ struct Options {
   std::uint64_t chaos_seed = 42;
   // Default tuned so deaths land mid-body, when victims hold deferred locks
   // worth seizing (higher rates kill threads during init, before they own
-  // anything; see DESIGN.md §11.5).
+  // anything; see DESIGN.md §11.4).
   std::uint32_t death_p100k = 5;
   std::uint64_t stall_epochs = 512;
   WatchdogConfig::OnStall on_stall = WatchdogConfig::OnStall::kQuarantine;
@@ -127,7 +126,6 @@ int run_chaos(const Options& opt, const WorkloadConfig& cfg,
   }
 
   Tracker trk(rt, HybridConfig{}, &recorder);
-  resilience::ResilienceGovernor governor(&trk.policy());
 
   WorkloadRunResult r = run_workload(cfg, data, [&](ThreadId) {
     return DirectApi<Tracker>(rt, trk, &recorder);
@@ -145,22 +143,15 @@ int run_chaos(const Options& opt, const WorkloadConfig& cfg,
     std::printf("recording -> %s\n", opt.record_path.c_str());
   }
 
-  telemetry::TraceSnapshot snap = session.snapshot();
-  // Post-hoc governor window over the whole run: any quarantine or lease
-  // expiry classifies it as a storm (live embedders feed periodic windows).
-  const resilience::WindowSample w = resilience::window_from_snapshot(snap);
-  governor.note_window(w);
-  governor.note_window(w);
-
   std::printf(
       "chaos run [%s/hybrid]: %.4fs, %d thread(s) quarantined, "
-      "%llu object(s) seized, governor %s (storm=%d)\n",
+      "%llu object(s) seized\n",
       cfg.name, r.seconds, r.quarantined,
-      static_cast<unsigned long long>(sweep.objects_seized()),
-      governor.degraded() ? "degraded" : "nominal", governor.is_storm(w));
+      static_cast<unsigned long long>(sweep.objects_seized()));
   std::printf("%s\n", injector.summary().c_str());
 
   if (!opt.trace_path.empty()) {
+    const telemetry::TraceSnapshot snap = session.snapshot();
     if (!telemetry::save_trace(snap, opt.trace_path)) {
       std::fprintf(stderr, "workload_run: cannot write %s\n",
                    opt.trace_path.c_str());
