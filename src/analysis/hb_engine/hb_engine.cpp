@@ -271,10 +271,8 @@ int RecordingAnalysisReport::exit_code(bool allow_partial) const {
 
 std::string RecordingAnalysisReport::to_string() const {
   std::ostringstream os;
-  if (!load.recording.has_value()) {
-    os << "load failed: " << load.to_string();
-    return os.str();
-  }
+  // RecordingLoadResult::to_string() already reads "load failed: <reason>".
+  if (!load.recording.has_value()) return load.to_string();
   if (!lint.structure.ok()) {
     os << "lint failed: " << lint.to_string();
     return os.str();

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/json.hpp"
-#include "metadata/state_word.hpp"
 
 namespace ht::analysis::profile {
 
@@ -26,27 +25,6 @@ const char* category_name(Category c) {
     case Category::kResilience: return "resilience";
   }
   return "unknown";
-}
-
-const char* residency_name(Residency r) {
-  switch (r) {
-    case Residency::kWrEx: return "WrEx";
-    case Residency::kRdEx: return "RdEx";
-    case Residency::kRdSh: return "RdSh";
-    case Residency::kPess: return "Pess";
-    case Residency::kInt: return "Int";
-  }
-  return "unknown";
-}
-
-Residency residency_of_kind(unsigned state_kind) {
-  switch (static_cast<StateKind>(state_kind)) {
-    case StateKind::kWrExOpt: return Residency::kWrEx;
-    case StateKind::kRdExOpt: return Residency::kRdEx;
-    case StateKind::kRdShOpt: return Residency::kRdSh;
-    case StateKind::kInt: return Residency::kInt;
-    default: return Residency::kPess;  // all pessimistic flavors + sentinel
-  }
 }
 
 namespace {
@@ -303,43 +281,12 @@ ProfileReport build_profile(const TraceSnapshot& snap) {
   }
 
   // --- state dwell ---------------------------------------------------------
-  const std::vector<Event> merged = snap.merged();
-  const std::uint64_t max_tsc = merged.empty() ? 0 : merged.back().tsc;
-  std::map<std::uint32_t, ObjectDwell> agg;
-  struct OpenState {
-    std::uint64_t tsc = 0;
-    Residency cls = Residency::kWrEx;
-  };
-  std::map<std::uint32_t, OpenState> open_state;
-  for (const Event& e : merged) {
-    if (static_cast<EventKind>(e.kind) != EventKind::kStateTransition) {
-      continue;
-    }
-    const unsigned to_k = telemetry::transition_to_kind(e.arg0);
-    ObjectDwell& d = agg[e.arg1];
-    d.object = e.arg1;
-    ++d.transitions;
-    ++r.transitions_total;
-    ++r.dwell_entries[static_cast<std::size_t>(residency_of_kind(to_k))];
-    auto it = open_state.find(e.arg1);
-    if (it != open_state.end() && e.tsc > it->second.tsc) {
-      d.residency[static_cast<std::size_t>(it->second.cls)] +=
-          e.tsc - it->second.tsc;
-    }
-    open_state[e.arg1] = OpenState{e.tsc, residency_of_kind(to_k)};
-  }
-  for (const auto& [obj, os] : open_state) {
-    if (max_tsc > os.tsc) {
-      agg[obj].residency[static_cast<std::size_t>(os.cls)] +=
-          max_tsc - os.tsc;
-    }
-  }
-  r.dwell.reserve(agg.size());
-  for (const auto& [obj, d] : agg) {
-    for (std::size_t c = 0; c < kResidencyCount; ++c) {
-      r.dwell_cycles[c] += d.residency[c];
-    }
-    r.dwell.push_back(d);
+  telemetry::StateDwell sd = telemetry::fold_state_dwell(snap);
+  r.dwell = std::move(sd.objects);
+  r.transitions_total = sd.transitions;
+  for (std::size_t c = 0; c < kResidencyCount; ++c) {
+    r.dwell_cycles[c] = sd.cycles[c];
+    r.dwell_entries[c] = sd.entries[c];
   }
   std::stable_sort(r.dwell.begin(), r.dwell.end(),
                    [](const ObjectDwell& a, const ObjectDwell& b) {

@@ -9,9 +9,9 @@
 //      divided among wait categories by an innermost-active-wins interval
 //      sweep over the latency-carrying events; the residual is application
 //      compute, so the categories sum to the window by construction.
-//   3. State dwell — kStateTransition events are folded, in merged
-//      timestamp order, into per-object and per-class residency (cycles an
-//      object spent WrEx / RdEx / RdSh / pessimistic / Int).
+//   3. State dwell — telemetry::fold_state_dwell's per-object and
+//      per-class residency (cycles an object spent WrEx / RdEx / RdSh /
+//      pessimistic / Int), ranked by occupied cycles.
 //   4. Critical path — a backwards walk from the last event in the trace
 //      that crosses threads through stitched spans: inside a coordination
 //      wait the walk jumps to the owner's response and continues there.
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/dwell.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ht::analysis::profile {
@@ -42,18 +43,13 @@ enum class Category : std::uint8_t {
 inline constexpr std::size_t kCategoryCount = 6;
 const char* category_name(Category c);
 
-// Residency classes folding metadata/state_word.hpp StateKind (12 kinds)
-// into the five the dwell report distinguishes.
-enum class Residency : std::uint8_t {
-  kWrEx = 0,  // WrExOpt
-  kRdEx,      // RdExOpt
-  kRdSh,      // RdShOpt
-  kPess,      // all pessimistic flavors, locked or not, incl. the sentinel
-  kInt,       // coordination intermediate
-};
-inline constexpr std::size_t kResidencyCount = 5;
-const char* residency_name(Residency r);
-Residency residency_of_kind(unsigned state_kind);
+// The state-dwell fold lives in the telemetry layer (telemetry/dwell.hpp)
+// so the hot-object table and the metrics read the same residency.
+using telemetry::kResidencyCount;
+using telemetry::ObjectDwell;
+using telemetry::Residency;
+using telemetry::residency_name;
+using telemetry::residency_of_kind;
 
 // One stitched coordination span (request on the requester's ring joined to
 // the owner-side answer and the requester-side close).
@@ -74,17 +70,6 @@ struct ThreadAttribution {
   std::uint64_t last_tsc = 0;
   std::uint64_t window_cycles = 0;  // last_tsc - first_tsc
   std::uint64_t by_category[kCategoryCount] = {};
-};
-
-struct ObjectDwell {
-  std::uint32_t object = 0;
-  std::uint64_t transitions = 0;  // kStateTransition events for this object
-  std::uint64_t residency[kResidencyCount] = {};  // cycles per class
-  std::uint64_t occupied() const {
-    std::uint64_t n = 0;
-    for (std::uint64_t r : residency) n += r;
-    return n;
-  }
 };
 
 // One step of the backwards critical-path walk (reverse chronological:

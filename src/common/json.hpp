@@ -1,9 +1,10 @@
 // Minimal JSON value model: parse, navigate, serialize.
 //
-// The telemetry exporters, the --json bench reports, and trace_export --check
-// all need to read back what they write; this keeps the repo dependency-free
-// (no nlohmann/json in the image) at the cost of supporting only what those
-// callers need: objects, arrays, strings, finite numbers, bools, null.
+// The telemetry exporters, the --json bench reports, and `trace_analyze
+// export --check` all need to read back what they write; this keeps the
+// repo dependency-free (no nlohmann/json in the image) at the cost of
+// supporting only what those callers need: objects, arrays, strings, finite
+// numbers, bools, null.
 #pragma once
 
 #include <cstdint>

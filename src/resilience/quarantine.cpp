@@ -12,7 +12,6 @@ void QuarantineSweep::operator()(ThreadContext& self, ThreadContext& victim) {
     });
   }
   if (seal_) seal_(victim.id);
-  if (notify_) notify_(victim.id);
 }
 
 }  // namespace ht::resilience

@@ -8,8 +8,7 @@
 //   1. seizes every state word the victim still owns (the enumerator the
 //      embedder provides walks the object population),
 //   2. seals the victim's dependence-recorder log at its last complete
-//      entry so degraded-run recordings stay loadable and lint-clean,
-//   3. notifies an observer (set_notify), if one is installed.
+//      entry so degraded-run recordings stay loadable and lint-clean.
 //
 // Multiple victims can be quarantined concurrently by different
 // coordinators, so the counters are atomic; the enumerator itself must be
@@ -36,7 +35,6 @@ class QuarantineSweep {
 
   void set_enumerator(Enumerate e) { enumerate_ = std::move(e); }
   void set_seal(std::function<void(ThreadId)> s) { seal_ = std::move(s); }
-  void set_notify(std::function<void(ThreadId)> n) { notify_ = std::move(n); }
   // Optimistic tracking never goes pessimistic; abandoned Ints must
   // land optimistic there (see seizure_landing).
   void set_land_pessimistic(bool p) { land_pessimistic_ = p; }
@@ -55,7 +53,6 @@ class QuarantineSweep {
  private:
   Enumerate enumerate_;
   std::function<void(ThreadId)> seal_;
-  std::function<void(ThreadId)> notify_;
   bool land_pessimistic_ = true;
   std::atomic<std::uint64_t> sweeps_{0};
   std::atomic<std::uint64_t> objects_seized_{0};

@@ -4,9 +4,9 @@
 #include <cstdio>
 #include <map>
 
-#include "analysis/profile/trace_profile.hpp"
 #include "common/json.hpp"
 #include "metadata/state_word.hpp"
+#include "telemetry/dwell.hpp"
 
 namespace ht::telemetry {
 
@@ -243,37 +243,12 @@ std::vector<HotObject> hot_objects(const TraceSnapshot& snap,
     }
   }
 
-  // Dwell residency needs the merged (cross-thread) transition order: the
-  // thread that moved an object *out* of a state is rarely the one that
-  // moved it in. Objects that only ever transitioned (no conflicts) still
-  // get rows — they sort after the conflicted ones.
-  {
-    using analysis::profile::residency_of_kind;
-    struct OpenState {
-      std::uint64_t tsc = 0;
-      std::size_t cls = 0;
-    };
-    std::map<std::uint32_t, OpenState> open;
-    std::uint64_t max_tsc = 0;
-    for (const Event& e : snap.merged()) {
-      max_tsc = e.tsc;
-      if (static_cast<EventKind>(e.kind) != EventKind::kStateTransition) {
-        continue;
-      }
-      HotObject& h = by_object[e.arg1];
-      h.object = e.arg1;
-      ++h.transitions;
-      auto it = open.find(e.arg1);
-      if (it != open.end() && e.tsc > it->second.tsc) {
-        h.dwell[it->second.cls] += e.tsc - it->second.tsc;
-      }
-      open[e.arg1] = OpenState{
-          e.tsc, static_cast<std::size_t>(
-                     residency_of_kind(transition_to_kind(e.arg0)))};
-    }
-    for (const auto& [obj, os] : open) {
-      if (max_tsc > os.tsc) by_object[obj].dwell[os.cls] += max_tsc - os.tsc;
-    }
+  // Objects that only ever transitioned (no conflicts) still get rows —
+  // they sort after the conflicted ones.
+  for (const ObjectDwell& d : fold_state_dwell(snap).objects) {
+    HotObject& h = by_object[d.object];
+    h.object = d.object;
+    h.dwell = d;
   }
 
   std::vector<HotObject> ranked;
@@ -282,7 +257,7 @@ std::vector<HotObject> hot_objects(const TraceSnapshot& snap,
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const HotObject& a, const HotObject& b) {
                      if (a.total() != b.total()) return a.total() > b.total();
-                     return a.dwell_total() > b.dwell_total();
+                     return a.dwell.occupied() > b.dwell.occupied();
                    });
   if (ranked.size() > top_n) ranked.resize(top_n);
   return ranked;
@@ -300,18 +275,17 @@ std::string hot_object_report(const TraceSnapshot& snap, std::size_t top_n) {
   for (const HotObject& h : ranked) {
     // Dominant residency class and its share of the object's dwell window.
     std::size_t top_cls = 0;
-    for (std::size_t c = 1; c < 5; ++c) {
-      if (h.dwell[c] > h.dwell[top_cls]) top_cls = c;
+    for (std::size_t c = 1; c < kResidencyCount; ++c) {
+      if (h.dwell.residency[c] > h.dwell.residency[top_cls]) top_cls = c;
     }
-    const std::uint64_t dt = h.dwell_total();
+    const std::uint64_t dt = h.dwell.occupied();
     char dwell_col[32];
     if (dt == 0) {
       std::snprintf(dwell_col, sizeof dwell_col, "-");
     } else {
       std::snprintf(dwell_col, sizeof dwell_col, "%s %3.0f%%",
-                    analysis::profile::residency_name(
-                        static_cast<analysis::profile::Residency>(top_cls)),
-                    100.0 * static_cast<double>(h.dwell[top_cls]) /
+                    residency_name(static_cast<Residency>(top_cls)),
+                    100.0 * static_cast<double>(h.dwell.residency[top_cls]) /
                         static_cast<double>(dt));
     }
     std::snprintf(buf, sizeof buf,
@@ -319,7 +293,8 @@ std::string hot_object_report(const TraceSnapshot& snap, std::size_t top_n) {
                   h.object, static_cast<unsigned long long>(h.opt_conflicts),
                   static_cast<unsigned long long>(h.pess_contended),
                   static_cast<unsigned long long>(h.total()),
-                  static_cast<unsigned long long>(h.transitions), dwell_col);
+                  static_cast<unsigned long long>(h.dwell.transitions),
+                  dwell_col);
     out += buf;
   }
   if (ranked.empty()) out += "(no conflicting-transition events in trace)\n";

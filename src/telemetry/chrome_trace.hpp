@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/dwell.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ht::telemetry {
@@ -19,9 +20,9 @@ namespace ht::telemetry {
 std::string to_chrome_trace_json(const TraceSnapshot& snap);
 
 // Structural validation of a Chrome trace document (used by
-// `trace_export --check`): top-level object with a traceEvents array whose
-// entries all carry name/ph/ts/pid/tid, and whose "X" events have a
-// non-negative dur. Returns true and the event count on success; fills
+// `trace_analyze export --check`): top-level object with a traceEvents
+// array whose entries all carry name/ph/ts/pid/tid, and whose "X" events
+// have a non-negative dur. Returns true and the event count on success; fills
 // `error` on failure.
 bool validate_chrome_trace(const std::string& text, std::size_t* event_count,
                            std::string* error);
@@ -30,27 +31,19 @@ bool validate_chrome_trace(const std::string& text, std::size_t* event_count,
 // census as a cumulative distribution; this is its top-N view). Conflicts =
 // optimistic conflicting transitions + contended pessimistic acquisitions +
 // pessimistic waits observed against the object. When the trace carries
-// kStateTransition dwell edges, each row also reports how the object's
-// cycles were split across the residency classes
-// (analysis/profile/trace_profile.hpp Residency order:
-// WrEx, RdEx, RdSh, Pess, Int).
+// kStateTransition dwell edges, each row also carries the object's
+// fold_state_dwell row: its transition count and per-class residency.
 struct HotObject {
   std::uint32_t object = 0;
   std::uint64_t opt_conflicts = 0;
   std::uint64_t pess_contended = 0;
-  std::uint64_t transitions = 0;  // kStateTransition events for this object
-  std::uint64_t dwell[5] = {};    // cycles per residency class
+  ObjectDwell dwell;
   std::uint64_t total() const { return opt_conflicts + pess_contended; }
-  std::uint64_t dwell_total() const {
-    std::uint64_t n = 0;
-    for (std::uint64_t d : dwell) n += d;
-    return n;
-  }
 };
 
 std::vector<HotObject> hot_objects(const TraceSnapshot& snap, std::size_t top_n);
 
-// Formatted table of the top-N ranking (human output for trace_export).
+// Formatted table of the top-N ranking (`trace_analyze export --top`).
 std::string hot_object_report(const TraceSnapshot& snap, std::size_t top_n);
 
 }  // namespace ht::telemetry

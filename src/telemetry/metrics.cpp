@@ -1,9 +1,7 @@
 #include "telemetry/metrics.hpp"
 
-#include <map>
-
-#include "analysis/profile/trace_profile.hpp"
 #include "common/json.hpp"
+#include "telemetry/dwell.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ht::telemetry {
@@ -284,42 +282,8 @@ MetricsRegistry aggregate_metrics(const TraceSnapshot& snap) {
     }
   }
 
-  // Per-class state-dwell residency (DESIGN.md §14). Residency is a
-  // merged-order property — an object's dwell interval spans transitions
-  // recorded by different threads — so it cannot be folded into the
-  // per-thread loop above.
-  using analysis::profile::Residency;
-  using analysis::profile::kResidencyCount;
-  using analysis::profile::residency_of_kind;
-  using analysis::profile::residency_name;
-  std::uint64_t dwell_cycles[kResidencyCount] = {};
-  {
-    struct OpenState {
-      std::uint64_t tsc = 0;
-      Residency cls = Residency::kWrEx;
-    };
-    std::map<std::uint32_t, OpenState> open;
-    std::uint64_t max_tsc = 0;
-    for (const Event& e : snap.merged()) {
-      max_tsc = e.tsc;
-      if (static_cast<EventKind>(e.kind) != EventKind::kStateTransition) {
-        continue;
-      }
-      auto it = open.find(e.arg1);
-      if (it != open.end() && e.tsc > it->second.tsc) {
-        dwell_cycles[static_cast<std::size_t>(it->second.cls)] +=
-            e.tsc - it->second.tsc;
-      }
-      open[e.arg1] =
-          OpenState{e.tsc, residency_of_kind(transition_to_kind(e.arg0))};
-    }
-    for (const auto& [obj, os] : open) {
-      (void)obj;
-      if (max_tsc > os.tsc) {
-        dwell_cycles[static_cast<std::size_t>(os.cls)] += max_tsc - os.tsc;
-      }
-    }
-  }
+  // Per-class state-dwell residency (DESIGN.md §14).
+  const StateDwell dwell = fold_state_dwell(snap);
   for (std::size_t c = 0; c < kResidencyCount; ++c) {
     std::string name = "ht_dwell_";
     for (const char* p = residency_name(static_cast<Residency>(c)); *p != 0;
@@ -329,7 +293,7 @@ MetricsRegistry aggregate_metrics(const TraceSnapshot& snap) {
     }
     name += "_cycles_total";
     reg.counter(name, "cycles objects dwelt in this state class") =
-        dwell_cycles[c];
+        dwell.cycles[c];
   }
   return reg;
 }

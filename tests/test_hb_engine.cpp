@@ -318,6 +318,10 @@ TEST(AnalyzeRecordingFile, MissingFileMapsToLoadError) {
   EXPECT_FALSE(rep.load.recording.has_value());
   EXPECT_NE(rep.exit_code(), kExitOk);
   EXPECT_NE(rep.exit_code(), kExitUnserializable);
+  // The load reason is printed once: "load failed: open-failed", not
+  // "load failed: load failed: open-failed".
+  EXPECT_EQ(rep.to_string(), rep.load.to_string());
+  EXPECT_EQ(rep.to_string().rfind("load failed: "), 0u);
 }
 
 }  // namespace

@@ -393,9 +393,7 @@ TEST(QuarantineSweep, SweepsSealsAndNotifiesThroughTheRuntimeHook) {
         for (ObjectMeta& m : metas) fn(m);
       });
   std::vector<ThreadId> sealed;
-  std::vector<ThreadId> notified;
   sweep.set_seal([&](ThreadId v) { sealed.push_back(v); });
-  sweep.set_notify([&](ThreadId v) { notified.push_back(v); });
 
   RuntimeConfig cfg;
   cfg.resilience.on_quarantine = std::ref(sweep);
@@ -415,8 +413,6 @@ TEST(QuarantineSweep, SweepsSealsAndNotifiesThroughTheRuntimeHook) {
   EXPECT_TRUE(testing::state_is(metas[2], StateKind::kWrExPess, victim.id));
   ASSERT_EQ(sealed.size(), 1u);
   EXPECT_EQ(sealed[0], victim.id);
-  ASSERT_EQ(notified.size(), 1u);
-  EXPECT_EQ(notified[0], victim.id);
 }
 
 // --- recorder sealing and stream hardening ------------------------------------

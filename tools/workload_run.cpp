@@ -1,7 +1,9 @@
 // workload_run: runs one named workload profile under a chosen tracker (or
 // all four), reporting per-trial timings — and, with --trace, performs one
 // additional traced run with a TelemetrySession installed and saves the
-// drained rings as an "HTEL" file for tools/trace_export.
+// drained rings as an "HTEL" file for tools/trace_analyze (`export` for
+// Chrome trace JSON, metrics and the hot-object report; `profile` for the
+// time attribution).
 //
 //   build/tools/workload_run --profile xalan6 --tracker hybrid
 //       --trials 5 --json BENCH_workload_xalan6.json --trace trace.bin
@@ -22,7 +24,6 @@
 #include "recorder/recorder.hpp"
 #include "recorder/recording_io.hpp"
 #include "resilience/quarantine.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_io.hpp"
 #include "tracking/hybrid_tracker.hpp"
@@ -41,8 +42,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: workload_run --profile <name> "
                "[--tracker hybrid|optimistic|pessimistic|ideal|all] "
-               "[--trials <n>] [--json <path>] [--trace <path>] "
-               "[--top <n>]\n"
+               "[--trials <n>] [--json <path>] [--trace <path>]\n"
                "       workload_run --profile <name> --chaos "
                "[--chaos-seed <n>] [--death-p100k <n>] [--stall-epochs <n>] "
                "[--on-stall quarantine|continue] [--record <path>] "
@@ -59,7 +59,6 @@ struct Options {
   int trials = 3;
   std::string json_path;
   std::string trace_path;
-  long top_n = 0;
   // Chaos mode (DESIGN.md §11 / README "chaos workload quickstart"): one
   // hybrid run under injected stuck threads and torn recording writes, with
   // the watchdog escalating to quarantine and the recording streamed
@@ -236,12 +235,6 @@ int run_traced(const Options& opt, const WorkloadConfig& cfg,
                "workload_run: warning: built without -DHT_TELEMETRY=ON; "
                "the trace records no events\n");
 #endif
-  if (opt.top_n > 0) {
-    std::fputs(telemetry::hot_object_report(
-                   snap, static_cast<std::size_t>(opt.top_n))
-                   .c_str(),
-               stdout);
-  }
   return 0;
 }
 
@@ -272,9 +265,6 @@ int main(int argc, char** argv) {
       opt.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       opt.trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      opt.top_n = std::atol(argv[++i]);
-      if (opt.top_n <= 0) return usage();
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
       opt.chaos = true;
     } else if (std::strcmp(argv[i], "--chaos-seed") == 0 && i + 1 < argc) {
