@@ -71,13 +71,16 @@ class RsEnforcer {
     Runtime& rt = *runtime_;
     UndoLog& log = ctx.region_log;
     std::uint32_t attempt = 0;
-    bool serial = false;
+    // Held in serial mode. The lock object releases it however the region
+    // is left: end_blocking or fn() may throw ThreadQuarantined or
+    // CoordinationStalled, and a mutex left locked would hang the next
+    // region to reach serial mode.
+    std::unique_lock<std::mutex> serial(fallback_mu_, std::defer_lock);
     for (;;) {
-      if (attempt >= kSerialFallback && !serial) {
+      if (attempt >= kSerialFallback && !serial.owns_lock()) {
         rt.begin_blocking(ctx);  // queued: implicit coordination succeeds
-        fallback_mu_.lock();
+        serial.lock();
         rt.end_blocking(ctx);
-        serial = true;
       }
       ctx.in_region = true;
       ctx.undo_log = &log;
@@ -93,7 +96,7 @@ class RsEnforcer {
         log.commit();
         ctx.in_region = false;
         ctx.undo_log = nullptr;
-        if (serial) fallback_mu_.unlock();
+        if (serial.owns_lock()) serial.unlock();
         rt.respond_if_pending(ctx);
         return;
       } catch (const RegionRestart&) {
@@ -105,7 +108,7 @@ class RsEnforcer {
         ++ctx.stats.region_restarts;
         HT_TELEM_ELAPSED(ctx, kRegionRestart, telem_attempt_t0, attempt, 0);
         ++attempt;
-        if (!serial) backoff(ctx, attempt);
+        if (!serial.owns_lock()) backoff(ctx, attempt);
       }
     }
   }

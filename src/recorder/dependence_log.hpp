@@ -1,6 +1,6 @@
 // Per-thread dependence logs for multithreaded record & replay (paper §4).
 //
-// The recorder logs two kinds of events, both keyed by the thread's
+// The recorder logs three kinds of events, both keyed by the thread's
 // deterministic instrumentation-point index:
 //
 //   kEdge      — this thread's access at `point` must happen after thread
@@ -17,6 +17,11 @@
 //                happens-before engine needs them: every bump ends an SBRS
 //                region, and the stamps anchor recorded edges to the exact
 //                bump that satisfied them.
+//
+// In memory an event takes 16 bytes: point, src and type share one word
+// (48 + 12 + 4 bits) and value has the other. On disk it stays 21 bytes
+// (recording_io.hpp), and the loader rejects a point or src the packed
+// word cannot hold.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +35,24 @@ namespace ht {
 enum class LogEventType : std::uint8_t { kEdge, kResponse, kRegionEnd };
 
 struct LogEvent {
-  std::uint64_t point;
-  LogEventType type;
-  ThreadId src;         // kEdge only
-  std::uint64_t value;  // kEdge: required src release-counter value;
-                        // kResponse/kRegionEnd: post-bump counter (stamp),
-                        // always >= 1
+  // The largest point and source thread the packed word holds. Thread ids
+  // are 12 bits already (kMaxThreads), so every src, kNoThread included,
+  // fits; a point past kMaxPoint is a hard error at record time.
+  static constexpr std::uint64_t kMaxPoint = (std::uint64_t{1} << 48) - 1;
+  static constexpr ThreadId kMaxSrc = kMaxThreads - 1;
+
+  std::uint64_t point : 48;
+  ThreadId src : 12;     // kEdge only
+  LogEventType type : 4;
+  std::uint64_t value;   // kEdge: required src release-counter value;
+                         // kResponse/kRegionEnd: post-bump counter (stamp),
+                         // always >= 1
+
+  constexpr LogEvent()
+      : point(0), src(0), type(LogEventType::kEdge), value(0) {}
+  constexpr LogEvent(std::uint64_t p, LogEventType t, ThreadId s,
+                     std::uint64_t v)
+      : point(p), src(s), type(t), value(v) {}
 
   // True for the event kinds that mark a release-counter bump (and hence an
   // SBRS region boundary): kResponse and kRegionEnd.
@@ -43,6 +60,7 @@ struct LogEvent {
 
   bool operator==(const LogEvent&) const = default;
 };
+static_assert(sizeof(LogEvent) == 16, "LogEvent packs into two words");
 
 struct ThreadLog {
   std::vector<LogEvent> events;

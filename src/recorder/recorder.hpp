@@ -10,12 +10,21 @@
 // dependences are captured — the hybrid recorder merely captures
 // pessimistic-transition edges from release counters instead of
 // coordination round trips.
+//
+// Implied-edge elision (DESIGN.md §4.4): each recording thread keeps, per
+// source thread, the highest value it has logged an edge for since the last
+// take_recording, and drops an edge whose value does not exceed it. The
+// earlier edge already makes replay wait for that source to reach at least
+// that value at an earlier point, and a slot's counter only grows (a slot
+// is never re-claimed within a Runtime), so replay waits and the
+// happens-before closure stay the same.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "common/cache_line.hpp"
 #include "recorder/dependence_log.hpp"
@@ -31,16 +40,23 @@ class DependenceRecorder {
   static constexpr bool kActive = true;
 
   explicit DependenceRecorder(Runtime& rt)
-      : logs_(rt.registry().max_threads()),
+      : slots_(rt.registry().max_threads()),
         sealed_(std::make_unique<std::atomic<bool>[]>(
             rt.registry().max_threads())),
         streamed_(rt.registry().max_threads(), 0) {}
 
   // --- sink interface (called by trackers) ------------------------------------
+  // Logs "ctx's access at its current point happens after src's release
+  // counter reaches value", unless an edge already logged from src implies
+  // it (see the elision note above).
   void edge(ThreadContext& ctx, ThreadId src, std::uint64_t value) {
     if (sealed_[ctx.id].load(std::memory_order_relaxed)) return;
-    logs_[ctx.id]->events.push_back(
-        LogEvent{ctx.point_index, LogEventType::kEdge, src, value});
+    Slot& slot = *slots_[ctx.id];
+    std::vector<std::uint64_t>& below = slot.implied_below;
+    if (src >= below.size()) below.resize(src + 1, 0);
+    if (value < below[src]) return;
+    below[src] = value + 1;
+    append(ctx, slot.log, LogEventType::kEdge, src, value);
     HT_TELEM_EVENT(ctx, kDepEdge, value, src, 0);
   }
 
@@ -114,23 +130,41 @@ class DependenceRecorder {
     Recording r;
     r.threads.reserve(thread_count);
     for (ThreadId t = 0; t < thread_count; ++t)
-      r.threads.push_back(std::move(*logs_[t]));
-    for (auto& l : logs_) l->events.clear();
+      r.threads.push_back(std::move(slots_[t]->log));
+    for (auto& s : slots_) {
+      s->log.events.clear();
+      s->implied_below.clear();
+    }
     return r;
   }
 
-  const ThreadLog& log(ThreadId t) const { return *logs_[t]; }
+  const ThreadLog& log(ThreadId t) const { return slots_[t]->log; }
   bool sealed(ThreadId t) const {
     return sealed_[t].load(std::memory_order_relaxed);
   }
 
  private:
+  // One recording thread's state. Padded: every edge and bump the thread
+  // logs writes here, and no other thread does until the log is sealed.
+  struct Slot {
+    ThreadLog log;
+    // implied_below[s]: an edge from s valued below this is implied by one
+    // already in the log (0: none since the last take_recording). Grown on
+    // demand, so a thread pays only for the sources it has waited on.
+    std::vector<std::uint64_t> implied_below;
+  };
+
   void log_bump(ThreadContext& ctx, LogEventType type) {
     if (sealed_[ctx.id].load(std::memory_order_relaxed)) return;
-    logs_[ctx.id]->events.push_back(
-        LogEvent{ctx.point_index, type, kNoThread,
-                 ctx.owner_side.release_counter.load(
-                     std::memory_order_relaxed)});
+    append(ctx, slots_[ctx.id]->log, type, kNoThread,
+           ctx.owner_side.release_counter.load(std::memory_order_relaxed));
+  }
+
+  static void append(const ThreadContext& ctx, ThreadLog& log,
+                     LogEventType type, ThreadId src, std::uint64_t value) {
+    HT_ASSERT(ctx.point_index <= LogEvent::kMaxPoint,
+              "instrumentation point overflows the log's 48-bit field");
+    log.events.push_back(LogEvent{ctx.point_index, type, src, value});
   }
 
   void stream_thread(ThreadId t) {
@@ -139,7 +173,7 @@ class DependenceRecorder {
   }
   void stream_thread_locked(ThreadId t) {
     if (stream_ == nullptr) return;
-    const auto& events = logs_[t]->events;
+    const auto& events = slots_[t]->log.events;
     while (streamed_[t] < events.size()) {
       const std::size_t n =
           std::min<std::size_t>(events.size() - streamed_[t], 512);
@@ -148,8 +182,7 @@ class DependenceRecorder {
     }
   }
 
-  // Padded: every edge and bump appends to its thread's log header.
-  std::vector<CachePadded<ThreadLog>> logs_;
+  std::vector<CachePadded<Slot>> slots_;
   // Indexed by thread id; atomic because the victim may still be appending
   // (pre-park) when the quarantining thread seals it.
   std::unique_ptr<std::atomic<bool>[]> sealed_;

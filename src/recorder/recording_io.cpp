@@ -332,7 +332,11 @@ RecordingLoadResult load_chunks(std::istream& in, FaultInjector* faults) {
       p += sizeof src;
       std::memcpy(&value, p, sizeof value);
       p += sizeof value;
-      if (type > static_cast<std::uint8_t>(LogEventType::kRegionEnd)) {
+      // A checksum-valid chunk can still hold fields no recorder writes
+      // (a forged or foreign file): an unknown type, or a point or src the
+      // in-memory event cannot hold. Treat them as corruption.
+      if (type > static_cast<std::uint8_t>(LogEventType::kRegionEnd) ||
+          point > LogEvent::kMaxPoint || src > LogEvent::kMaxSrc) {
         return salvage(RecordingLoadError::kChecksum);
       }
       events.push_back(LogEvent{point, static_cast<LogEventType>(type),

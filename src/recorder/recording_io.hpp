@@ -14,6 +14,10 @@
 //   the longest valid prefix of each thread's log — flagged as partial.
 //
 // Integers are little-endian host order, fields packed with no padding.
+// An event is 21 bytes here and 16 in memory (dependence_log.hpp); a chunk
+// whose checksum holds but whose events carry an unknown type, a point
+// above LogEvent::kMaxPoint or a src above LogEvent::kMaxSrc fails as
+// kChecksum, its prefix salvaged.
 #pragma once
 
 #include <cstdint>

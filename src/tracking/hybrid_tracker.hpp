@@ -377,7 +377,10 @@ class HybridTracker {
   }
 
   // ==== store slow path (Fig 10b generalized to all Table 3 rows) ==========
-  void store_slow(ThreadContext& ctx, ObjectMeta& m) {
+  // Both slow paths are out of line, like PessimisticTracker::
+  // lock_contended: a sink's edge code grows them, and must not sway how
+  // pre_store / pre_load inline into every access.
+  [[gnu::noinline]] void store_slow(ThreadContext& ctx, ObjectMeta& m) {
     Runtime& rt = *runtime_;
     bool contended = false;
     Backoff backoff(rt.spin_rounds());
@@ -513,7 +516,7 @@ class HybridTracker {
   }
 
   // ==== load slow path ========================================================
-  void load_slow(ThreadContext& ctx, ObjectMeta& m) {
+  [[gnu::noinline]] void load_slow(ThreadContext& ctx, ObjectMeta& m) {
     Runtime& rt = *runtime_;
     bool contended = false;
     Backoff backoff(rt.spin_rounds());

@@ -9,8 +9,11 @@
 // Both run under the optimistic enforcer [36] and the hybrid enforcer (§5.2).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <thread>
 
 #include "common/cache_line.hpp"
@@ -520,6 +523,43 @@ TEST(RsEnforcer, RestartRollsBackOnlyTheRestartingThread) {
   EXPECT_EQ(xa.raw_load(), 12u);
   EXPECT_EQ(yb.raw_load(), 21u);
   EXPECT_EQ(a.stats.region_restarts, 1u);
+}
+
+// Serial mode's fallback mutex is released however the serial attempt ends.
+// The first region restarts until it goes serial and is then quarantined;
+// a second region, on another thread, must still get through serial mode.
+// The scenario runs in a child under an alarm, so a leaked mutex fails the
+// test rather than hanging it.
+TEST(RsEnforcerDeathTest, QuarantineInSerialModeReleasesTheFallbackMutex) {
+  constexpr std::uint32_t kSerial =
+      RsEnforcer<HybridTracker<>>::kSerialFallback;
+  EXPECT_EXIT(
+      {
+        alarm(10);
+        Runtime rt;
+        HybridTracker<> tracker(rt);
+        RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
+        ThreadContext& a = rt.register_thread();
+        ThreadContext& b = rt.register_thread();
+        enforcer.attach_thread(a);
+        enforcer.attach_thread(b);
+        std::uint32_t a_attempts = 0;
+        try {
+          enforcer.run_region(a, [&] {
+            if (a_attempts++ < kSerial) throw RegionRestart{};
+            throw ThreadQuarantined{a.id};
+          });
+        } catch (const ThreadQuarantined&) {
+        }
+        std::uint32_t b_attempts = 0;
+        enforcer.run_region(b, [&] {
+          if (b_attempts++ < kSerial) throw RegionRestart{};
+        });
+        std::_Exit(a_attempts == kSerial + 1 && b_attempts == kSerial + 1
+                       ? 0
+                       : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ TEST_F(DetectorFixture, UnsynchronizedReadWriteRaces) {
 }
 
 TEST_F(DetectorFixture, LockOrderingSuppressesRaces) {
-  int lock_tag;  // identity only
+  int lock_tag = 0;  // identity only
   rd.on_acquire(t0, &lock_tag);
   x.store(rd, t0, 1);
   rd.on_release(t0, &lock_tag);
@@ -121,7 +121,7 @@ TEST_F(DetectorFixture, LockOrderingSuppressesRaces) {
 }
 
 TEST_F(DetectorFixture, DifferentLocksDoNotOrder) {
-  int lock_a, lock_b;
+  int lock_a = 0, lock_b = 0;
   rd.on_acquire(t0, &lock_a);
   x.store(rd, t0, 1);
   rd.on_release(t0, &lock_a);
@@ -133,7 +133,7 @@ TEST_F(DetectorFixture, DifferentLocksDoNotOrder) {
 }
 
 TEST_F(DetectorFixture, SharedReadersThenOrderedWriteIsClean) {
-  int lock_tag;
+  int lock_tag = 0;
   // Both read under the lock (still concurrent reads are fine in any case).
   rd.on_acquire(t0, &lock_tag);
   (void)x.load(rd, t0);
