@@ -404,8 +404,10 @@ struct Verdicts {
   bool operator==(const Verdicts&) const = default;
 };
 
-Verdicts verdicts_of(const Recording& r) {
-  const std::string path = temp_path("ht_recorder_units_verdicts.bin");
+// `name` keeps the file apart from other tests' files, which ctest may be
+// writing at the same time from other processes.
+Verdicts verdicts_of(const Recording& r, const std::string& name) {
+  const std::string path = temp_path(("ht_recorder_units_" + name).c_str());
   EXPECT_TRUE(save_recording(r, path));
   const Verdicts v{validate_recording(r).ok(),
                    analysis::lint_recording(r).ok(),
@@ -443,11 +445,11 @@ void expect_copies_change_nothing(const char* profile) {
 
   const Recording copied = with_implied_copies(rec);
   ASSERT_EQ(copied.total_edges(), 2 * rec.total_edges());
-  const Verdicts base = verdicts_of(rec);
+  const Verdicts base = verdicts_of(rec, std::string(profile) + ".bin");
   EXPECT_TRUE(base.valid);
   EXPECT_TRUE(base.lint_ok);
   EXPECT_EQ(base.analyze_exit, kExitOk);
-  EXPECT_EQ(verdicts_of(copied), base);
+  EXPECT_EQ(verdicts_of(copied, std::string(profile) + "_copied.bin"), base);
 
   // Happens-before between bumps: the k-th bump of one thread is ordered
   // before the j-th bump of another in both recordings or in neither.
