@@ -307,8 +307,8 @@ double hybrid_pess_uncontended_cycles() {
 }
 
 // RS enforcer layer (DESIGN.md §4.5): a committed empty region under the
-// hybrid enforcer, i.e. the region bookkeeping plus the region-end response
-// check, with nobody requesting.
+// hybrid enforcer, i.e. the region bookkeeping alone. The region ends at the
+// caller's next safe point, which this loop does not reach.
 double enforcer_empty_region_cycles() {
   Runtime rt;
   HybridTracker<> tracker(rt, HybridConfig{});

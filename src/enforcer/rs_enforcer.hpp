@@ -51,69 +51,84 @@ class RsEnforcer {
   // atomic to every other thread. `fn` must be re-executable (its only side
   // effects are tracked stores, which the undo log reverts on restart).
   //
-  // Retries back off with a randomized, growing yield count: symmetric
-  // threads otherwise restart in lockstep and re-collide indefinitely (the
-  // analogue of contention management in STMs; the paper's JVM gets the
-  // equivalent desynchronization for free from 32 truly concurrent cores).
-  // After kSerialFallback consecutive restarts, the attempt runs holding a
-  // global fallback mutex (the STM "serial mode" idea). Symmetric high-
-  // contention regions can otherwise livelock on a timeshared core: each
-  // thread's commit window is as long as its adversaries' request period, so
-  // every attempt receives a request and restarts. Queued fallback threads
-  // park at a *blocking safe point*, so the running thread coordinates with
-  // them implicitly and commits; the paper's 32-core testbed makes commit
-  // windows ~100 ns and does not need this.
+  // The region ends at the caller's next safe point, as in the paper, where
+  // region boundaries (synchronization, calls, loop back edges) are exactly
+  // where the VM puts safe points: run_region answers no request itself.
+  // Requests queued during the region are answered at the caller's next
+  // poll, PSRO or blocking entry, so every caller must reach one after each
+  // region (DESIGN.md §4.5).
+  //
+  // The first attempt is inline; a restart hands the region to the cold
+  // retry(). Retries back off with a randomized, growing yield count:
+  // symmetric threads otherwise restart in lockstep and re-collide
+  // indefinitely (the analogue of contention management in STMs; the
+  // paper's JVM gets the equivalent desynchronization for free from 32 truly
+  // concurrent cores). After kSerialFallback consecutive restarts, the
+  // attempt runs holding a global fallback mutex (the STM "serial mode"
+  // idea). Symmetric high-contention regions can otherwise livelock on a
+  // timeshared core: each thread's commit window is as long as its
+  // adversaries' request period, so every attempt receives a request and
+  // restarts. Queued fallback threads park at a *blocking safe point*, so
+  // the running thread coordinates with them implicitly and commits; the
+  // paper's 32-core testbed makes commit windows ~100 ns and does not need
+  // this.
   static constexpr std::uint32_t kSerialFallback = 12;
 
   template <typename Fn>
   void run_region(ThreadContext& ctx, Fn&& fn) {
     HT_ASSERT(!ctx.in_region, "SBRS regions do not nest");
-    Runtime& rt = *runtime_;
-    UndoLog& log = ctx.region_log;
-    std::uint32_t attempt = 0;
-    // Held in serial mode. The lock object releases it however the region
-    // is left: end_blocking or fn() may throw ThreadQuarantined or
-    // CoordinationStalled, and a mutex left locked would hang the next
-    // region to reach serial mode.
-    std::unique_lock<std::mutex> serial(fallback_mu_, std::defer_lock);
-    for (;;) {
-      if (attempt >= kSerialFallback && !serial.owns_lock()) {
-        rt.begin_blocking(ctx);  // queued: implicit coordination succeeds
-        serial.lock();
-        rt.end_blocking(ctx);
-      }
-      ctx.in_region = true;
-      ctx.undo_log = &log;
-      ctx.region_start_point = ctx.point_index;
-      HT_TELEM_CYCLES(telem_attempt_t0);
-      try {
-        fn();
-        // Committed: writes stay; exit two-phase locking and answer the
-        // requesters that queued up during the region. The region boundary
-        // is a response only, not a poll: it adds no instrumentation point
-        // and publishes no liveness, because the caller's next poll or PSRO
-        // does both (DESIGN.md §4.5).
-        log.commit();
-        ctx.in_region = false;
-        ctx.undo_log = nullptr;
-        if (serial.owns_lock()) serial.unlock();
-        rt.respond_if_pending(ctx);
-        return;
-      } catch (const RegionRestart&) {
-        // on_forced_response already rolled back and the responding safe
-        // point flushed/answered; back off, then retry the region.
-        HT_DASSERT(log.empty(), "rollback left undo entries behind");
-        ctx.in_region = false;
-        ctx.undo_log = nullptr;
-        ++ctx.stats.region_restarts;
-        HT_TELEM_ELAPSED(ctx, kRegionRestart, telem_attempt_t0, attempt, 0);
-        ++attempt;
-        if (!serial.owns_lock()) backoff(ctx, attempt);
-      }
-    }
+    const std::uint64_t attempt_t0 = HT_TELEM_ORIGIN();
+    if (!attempt(ctx, fn)) retry(ctx, fn, attempt_t0);
   }
 
  private:
+  // One attempt at the region. Committed: the writes stay and the thread
+  // leaves two-phase locking. Restarted: on_forced_response already rolled
+  // back and the responding safe point flushed and answered. Any other
+  // exception (ThreadQuarantined, CoordinationStalled) leaves the region
+  // open; ThreadContext::reset clears it.
+  template <typename Fn>
+  [[gnu::always_inline]] static bool attempt(ThreadContext& ctx, Fn& fn) {
+    ctx.in_region = true;
+    ctx.undo_log = &ctx.region_log;
+    ctx.region_start_point = ctx.point_index;
+    bool committed = true;
+    try {
+      fn();
+    } catch (const RegionRestart&) {
+      committed = false;
+    }
+    if (committed) ctx.region_log.commit();
+    HT_DASSERT(ctx.region_log.empty(), "rollback left undo entries behind");
+    ctx.in_region = false;
+    ctx.undo_log = nullptr;
+    return committed;
+  }
+
+  // Everything after a first restart: the telemetry, the backoff and serial
+  // mode. The fallback mutex is released however the region is left:
+  // end_blocking or fn() may throw ThreadQuarantined or CoordinationStalled,
+  // and a mutex left locked would hang the next region to reach serial mode.
+  template <typename Fn>
+  [[gnu::cold, gnu::noinline]] void retry(ThreadContext& ctx, Fn& fn,
+                                          std::uint64_t attempt_t0) {
+    (void)attempt_t0;  // read only by the telemetry build
+    std::unique_lock<std::mutex> serial(fallback_mu_, std::defer_lock);
+    for (std::uint32_t restarts = 1;; ++restarts) {
+      ++ctx.stats.region_restarts;
+      HT_TELEM_ELAPSED(ctx, kRegionRestart, attempt_t0, restarts - 1, 0);
+      if (restarts < kSerialFallback) {
+        backoff(ctx, restarts);
+      } else if (!serial.owns_lock()) {
+        runtime_->begin_blocking(ctx);  // queued: implicit coordination
+        serial.lock();
+        runtime_->end_blocking(ctx);
+      }
+      attempt_t0 = HT_TELEM_ORIGIN();
+      if (attempt(ctx, fn)) return;
+    }
+  }
+
   // Runtime::respond() calls this (via the abort hook) when a thread inside
   // a region is about to answer a coordination request from its own slow-path
   // wait. We still own every object the region wrote — roll back now, then

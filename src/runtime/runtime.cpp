@@ -77,6 +77,13 @@ void Runtime::unregister_thread(ThreadContext& ctx) {
 void Runtime::psro(ThreadContext& ctx) {
   HT_ASSERT(!ctx.in_region, "PSRO inside an SBRS region");
   ++ctx.point_index;
+  // A quarantined thread must not bump, flush or respond: survivors seized
+  // its states, and a PSRO is often the first safe point after a region in
+  // which the quarantine landed (DESIGN.md §11.2).
+  if (ThreadStatus::is_quarantined(
+          ctx.owner_side.status.load(std::memory_order_relaxed))) {
+    quarantined_self_park(ctx);
+  }
   // Under the stuck_death fault model a dead thread reaches no further safe
   // point of any flavor: no flush, no lease renewal, no response. Its
   // deferred locks therefore stay stuck — which is what lets the watchdog

@@ -213,24 +213,11 @@ class Runtime {
   // --- safe points -------------------------------------------------------------
   // Deterministic poll site (loop back edges in the paper's compiled code).
   // Bumps the point index; responds to pending requests unless the thread is
-  // inside an SBRS region (two-phase locking, §5.1).
-  void poll(ThreadContext& ctx) {
+  // inside an SBRS region (two-phase locking, §5.1). Always inline, as a
+  // JIT's back-edge poll is: GCC's unit-growth budget otherwise decides
+  // whether a workload body calls it out of line.
+  [[gnu::always_inline]] void poll(ThreadContext& ctx) {
     ++ctx.point_index;
-    // A suppressed poll models a thread that never reached this safe point
-    // (stalled in a long computation, or dead): nothing observable happens —
-    // in particular last_poll and the heartbeat stay frozen so the watchdog
-    // sees the stall and the liveness lease expires.
-    if (!respond_if_pending(ctx)) return;
-    ctx.liveness.last_poll.store(ctx.point_index, std::memory_order_relaxed);
-    renew_lease(ctx);
-  }
-
-  // The response half of poll(), without the point bump or the liveness
-  // publish: an SBRS region's end (RsEnforcer::run_region) answers the
-  // requests that queued up during the region here, and the caller's next
-  // poll or PSRO publishes liveness as usual. Returns false when fault
-  // injection suppressed the safe point.
-  bool respond_if_pending(ThreadContext& ctx) {
     // Quarantine self-check comes BEFORE fault suppression: a stuck thread
     // whose polls are suppressed (injected death) must still observe its own
     // quarantine at the next poll it executes and park rather than keep
@@ -239,12 +226,17 @@ class Runtime {
             ctx.owner_side.status.load(std::memory_order_acquire))) {
       quarantined_self_park(ctx);  // throws ThreadQuarantined
     }
-    if (injector_ != nullptr && poll_fault_suppressed(ctx)) return false;
+    // A suppressed poll models a thread that never reached this safe point
+    // (stalled in a long computation, or dead): nothing observable happens —
+    // in particular last_poll and the heartbeat stay frozen so the watchdog
+    // sees the stall and the liveness lease expires.
+    if (injector_ != nullptr && poll_fault_suppressed(ctx)) return;
     if (!ctx.in_region &&
         (ctx.requests_pending() || ctx.batch_requests_pending())) {
       respond(ctx);
     }
-    return true;
+    ctx.liveness.last_poll.store(ctx.point_index, std::memory_order_relaxed);
+    renew_lease(ctx);
   }
 
   // Safe point inside nondeterministic spin loops (Fig 1 lines 9/18, Fig 10
@@ -284,6 +276,7 @@ class Runtime {
 
   // Program-synchronization release operation: bump the release counter
   // (deterministically), flush the lock buffer, answer pending requests.
+  // A quarantined thread parks here instead (throws ThreadQuarantined).
   void psro(ThreadContext& ctx);
 
   // Blocking safe points (lock acquisition, join, barrier): bump (logged),

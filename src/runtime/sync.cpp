@@ -36,7 +36,15 @@ void ProgramLock::acquire(ThreadContext& ctx) {
 void ProgramLock::abandon() { mu_.unlock(); }
 
 void ProgramLock::release(ThreadContext& ctx) {
-  ctx.runtime->psro(ctx);  // flush + deterministic release-counter bump
+  try {
+    ctx.runtime->psro(ctx);  // flush + deterministic release-counter bump
+  } catch (...) {
+    // Quarantined (ThreadQuarantined unwinds us): the thread parks and no
+    // later release can run, so drop the mutex raw here. Invariant: a
+    // throwing release, like a throwing acquire, leaves the lock free.
+    mu_.unlock();
+    throw;
+  }
   HT_TSAN_RELEASE(this);
   mu_.unlock();
 }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 
 #include "common/spin.hpp"
@@ -39,19 +40,29 @@ class ProgramLock {
   // normal execution.
   void abandon();
 
-  // RAII critical section.
+  // RAII critical section. A quarantined thread parks at the release PSRO
+  // by throwing ThreadQuarantined, which propagates unless the scope is
+  // already unwinding (a second exception would terminate); release frees
+  // the mutex either way.
   class Scope {
    public:
     Scope(ProgramLock& l, ThreadContext& ctx) : lock_(l), ctx_(ctx) {
       lock_.acquire(ctx_);
     }
-    ~Scope() { lock_.release(ctx_); }
+    ~Scope() noexcept(false) {
+      try {
+        lock_.release(ctx_);
+      } catch (const ThreadQuarantined&) {
+        if (std::uncaught_exceptions() == unwinding_) throw;
+      }
+    }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
     ProgramLock& lock_;
     ThreadContext& ctx_;
+    const int unwinding_ = std::uncaught_exceptions();
   };
 
  private:

@@ -356,8 +356,10 @@ void run_thread(const RunWorld& w, Tracker& tracker, Slot slot) {
         case OpKind::kLockRelease: {
           ProgramLock& l = (*w.locks)[static_cast<std::size_t>(op.lock)];
           if (w.rc->race_detect) w.detector->on_release(ctx, &l);
-          l.release(ctx);
+          // Not held once release starts: it frees the mutex even when it
+          // throws (a quarantined thread parks at the PSRO).
           held.erase(std::find(held.begin(), held.end(), op.lock));
+          l.release(ctx);
           break;
         }
         case OpKind::kQuarantine:

@@ -110,6 +110,9 @@ class TelemetrySession {
 // Declares a cycle-count origin for a later HT_TELEM_ELAPSED.
 #define HT_TELEM_CYCLES(var) const std::uint64_t var = ::ht::read_cycles()
 
+// The same origin as a value, for a HT_TELEM_ELAPSED in another function.
+#define HT_TELEM_ORIGIN() ::ht::read_cycles()
+
 // Record an event whose arg0 is the cycles elapsed since HT_TELEM_CYCLES(var).
 #define HT_TELEM_ELAPSED(ctx, kind, var, a1, a2) \
   HT_TELEM_EVENT(ctx, kind, ::ht::read_cycles() - (var), a1, a2)
@@ -130,6 +133,7 @@ class TelemetrySession {
 #define HT_TELEM_EVENT(ctx, kind, a0, a1, a2) ((void)0)
 #define HT_TELEM_EVENT_IF(cond, ctx, kind, a0, a1, a2) ((void)0)
 #define HT_TELEM_CYCLES(var) ((void)0)
+#define HT_TELEM_ORIGIN() std::uint64_t{0}
 #define HT_TELEM_ELAPSED(ctx, kind, var, a1, a2) ((void)0)
 #define HT_TELEM_TRANSITION(ctx, mp, from, to) ((void)0)
 #endif  // HT_TELEMETRY_ENABLED

@@ -95,6 +95,11 @@ class TrackedVar {
   std::atomic<T> value_;
 };
 
+// The most stores one batched point covers; a larger batch is one point per
+// store. ReplayApi::store_batch reads the same cap, so replay points stay in
+// step with recorded points.
+inline constexpr std::size_t kStoreBatchCap = 32;
+
 // Batched store (DESIGN.md §13): ONE instrumentation point covering all `n`
 // stores. The tracker secures write ownership of every object before any
 // value is written, so a tracker with a batched slow path folds the group's
@@ -105,13 +110,12 @@ class TrackedVar {
 template <typename Tracker, typename T>
 void store_batch(Tracker& tracker, ThreadContext& ctx,
                  TrackedVar<T>* const* vars, const T* values, std::size_t n) {
-  constexpr std::size_t kCap = 32;
   if constexpr (requires(ObjectMeta* const* mm) {
                   tracker.pre_store_batch(ctx, mm, n);
                 }) {
-    if (n != 0 && n <= kCap) {
+    if (n != 0 && n <= kStoreBatchCap) {
       ++ctx.point_index;
-      ObjectMeta* metas[kCap];
+      ObjectMeta* metas[kStoreBatchCap];
       for (std::size_t i = 0; i < n; ++i) metas[i] = &vars[i]->meta();
       tracker.pre_store_batch(ctx, metas, n);
       for (std::size_t i = 0; i < n; ++i) {

@@ -160,7 +160,7 @@ class ReplayApi {
   void store_batch(TrackedVar<std::uint64_t>* const* vars,
                    const std::uint64_t* values, std::size_t n) {
     if (n == 0) return;
-    if (n > 32) {
+    if (n > kStoreBatchCap) {
       for (std::size_t i = 0; i < n; ++i) {
         rp_->at_point(tid_);
         vars[i]->raw_store(values[i]);

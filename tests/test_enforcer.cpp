@@ -351,12 +351,13 @@ TEST(RsEnforcer, ForcedResponseInFirstAccessKeepsRunning) {
   EXPECT_EQ(v.raw_load(), 6u);
 }
 
-// A region's end is a responding safe point: a request another thread posts
-// while the region runs is answered when run_region returns, without a poll
-// by the caller. `request` runs on the requester thread and blocks until
-// answered; `posted` tells the owner the request is in.
+// A region ends at the caller's next safe point, not inside run_region: a
+// request another thread posts while the region runs is still pending when
+// run_region returns, and the caller's next poll answers it, exactly once.
+// `request` runs on the requester thread and blocks until answered;
+// `posted` tells the owner the request is in.
 template <typename Request, typename Posted>
-void region_end_answers(Request&& request, Posted&& posted) {
+void callers_poll_answers(Request&& request, Posted&& posted) {
   Runtime rt;
   HybridTracker<> tracker(rt);
   RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
@@ -377,26 +378,31 @@ void region_end_answers(Request&& request, Posted&& posted) {
     v.store(tracker, owner, 1);
     while (!posted(owner)) std::this_thread::yield();
   });
-  const bool still_posted = posted(owner);
-  EXPECT_FALSE(still_posted) << "the region end left the request unanswered";
+  EXPECT_TRUE(posted(owner)) << "run_region answered the request itself";
+  EXPECT_EQ(owner.stats.responding_safepoints, responses);
+  EXPECT_FALSE(answered.load());
+  rt.poll(owner);
+  EXPECT_FALSE(posted(owner)) << "the caller's poll left the request pending";
   EXPECT_EQ(owner.stats.responding_safepoints, responses + 1);
-  if (still_posted) rt.poll(owner);  // free the requester before failing
   requester.join();
   EXPECT_TRUE(answered.load());
   EXPECT_EQ(v.raw_load(), 1u);
+  rt.poll(owner);
+  EXPECT_EQ(owner.stats.responding_safepoints, responses + 1)
+      << "a second poll answered the request again";
   rt.unregister_thread(owner);
 }
 
-TEST(RsEnforcer, RegionEndAnswersAScalarTicket) {
-  region_end_answers(
+TEST(RsEnforcer, CallersPollAnswersAScalarTicketPostedInARegion) {
+  callers_poll_answers(
       [](Runtime& rt, ThreadContext& self, ThreadId owner) {
         (void)rt.coordinate(self, owner);
       },
       [](const ThreadContext& owner) { return owner.requests_pending(); });
 }
 
-TEST(RsEnforcer, RegionEndAnswersABatchMailboxNode) {
-  region_end_answers(
+TEST(RsEnforcer, CallersPollAnswersABatchMailboxNodePostedInARegion) {
+  callers_poll_answers(
       [](Runtime& rt, ThreadContext& self, ThreadId owner) {
         Runtime::BatchGroup g{owner, 3};
         rt.coordinate_batch_multi(self, &g, 1);
@@ -428,9 +434,11 @@ TEST(RsEnforcer, CommittedRegionAddsOnlyItsAccessPoints) {
   EXPECT_EQ(ctx.point_index, start + 3) << "an empty region added a point";
 }
 
-// A thread quarantined while inside a region observes it at the region end:
-// it parks (ThreadQuarantined) instead of answering the ticket it holds.
-TEST(RsEnforcer, QuarantineDuringARegionParksAtTheRegionEnd) {
+// A thread quarantined while inside a region commits it (the region end is
+// no safe point) and parks at its next safe point, a poll or a PSRO,
+// without answering the ticket it holds.
+template <typename SafePoint>
+void quarantine_in_region_parks_at(SafePoint&& safe_point) {
   Runtime rt;
   HybridTracker<> tracker(rt);
   RsEnforcer<HybridTracker<>> enforcer(rt, tracker);
@@ -442,22 +450,31 @@ TEST(RsEnforcer, QuarantineDuringARegionParksAtTheRegionEnd) {
 
   const std::uint64_t release = ctx.release_counter_relaxed();
   const std::uint64_t responses = ctx.stats.responding_safepoints;
-  EXPECT_THROW(enforcer.run_region(ctx,
-                                   [&] {
-                                     v.store(tracker, ctx, 1);
-                                     // A requester's ticket, then the
-                                     // watchdog's verdict.
-                                     ctx.requester_side.request_tickets
-                                         .fetch_add(1);
-                                     ASSERT_TRUE(
-                                         rt.quarantine_thread(survivor, ctx.id));
-                                   }),
-               ThreadQuarantined);
-  EXPECT_TRUE(ctx.quarantined_self);
+  enforcer.run_region(ctx, [&] {
+    v.store(tracker, ctx, 1);
+    // A requester's ticket, then the watchdog's verdict.
+    ctx.requester_side.request_tickets.fetch_add(1);
+    ASSERT_TRUE(rt.quarantine_thread(survivor, ctx.id));
+  });
   EXPECT_FALSE(ctx.in_region);
+  EXPECT_TRUE(ctx.region_log.empty()) << "the region did not commit";
+  EXPECT_EQ(v.raw_load(), 1u);
+  EXPECT_FALSE(ctx.quarantined_self);
+  EXPECT_THROW(safe_point(rt, ctx), ThreadQuarantined);
+  EXPECT_TRUE(ctx.quarantined_self);
   EXPECT_EQ(ctx.release_counter_relaxed(), release) << "the victim responded";
   EXPECT_EQ(ctx.stats.responding_safepoints, responses)
       << "the victim responded";
+}
+
+TEST(RsEnforcer, QuarantineDuringARegionParksAtTheNextPoll) {
+  quarantine_in_region_parks_at(
+      [](Runtime& rt, ThreadContext& ctx) { rt.poll(ctx); });
+}
+
+TEST(RsEnforcer, QuarantineDuringARegionParksAtTheNextPsro) {
+  quarantine_in_region_parks_at(
+      [](Runtime& rt, ThreadContext& ctx) { rt.psro(ctx); });
 }
 
 // ElisionTracking: a repeated store to the same variable inside a region,

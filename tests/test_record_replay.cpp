@@ -157,6 +157,75 @@ TEST(RecordReplay, SingleThreadedRecordingHasNoEdges) {
   EXPECT_EQ(r.total_edges(), 0u);
 }
 
+// Objects for the batch-cap check: one past the store-batch cap, all
+// initialized by thread 0.
+struct BatchCapData {
+  static constexpr std::size_t kN = kStoreBatchCap + 1;
+  TrackedVar<std::uint64_t> vars[kN];
+
+  template <typename Tracker>
+  void init_for_thread(Tracker& tracker, ThreadContext& ctx) {
+    if (ctx.id != 0) return;
+    for (auto& v : vars) v.init(tracker, ctx, 0);
+  }
+  void raw_reset_values() {
+    for (auto& v : vars) v.raw_store(0);
+  }
+};
+
+// Thread 0 alternates batches of exactly kStoreBatchCap stores (one point)
+// and kStoreBatchCap + 1 stores (one point per store); the other threads
+// read the objects. If replay counted a batch's points differently from the
+// record side, thread 0's logged responses would replay at other stores and
+// the readers' checksums would diverge.
+template <typename Api>
+std::uint64_t batch_cap_body(Api& api, BatchCapData& d, ThreadId tid) {
+  constexpr std::uint64_t kIters = 3000;
+  std::uint64_t checksum = 0;
+  TrackedVar<std::uint64_t>* ptrs[BatchCapData::kN];
+  std::uint64_t vals[BatchCapData::kN];
+  for (std::size_t j = 0; j < BatchCapData::kN; ++j) ptrs[j] = &d.vars[j];
+  for (std::uint64_t i = 0; i < kIters; ++i) {
+    if (tid == 0) {
+      const std::size_t n = i % 2 == 0 ? kStoreBatchCap : kStoreBatchCap + 1;
+      for (std::size_t j = 0; j < n; ++j) vals[j] = i * BatchCapData::kN + j;
+      api.store_batch(ptrs, vals, n);
+    } else {
+      for (std::size_t j = i % 4; j < BatchCapData::kN; j += 8) {
+        checksum = checksum * 0x100000001b3ULL + api.load(d.vars[j]);
+      }
+    }
+    api.poll();
+    if (i % 2 == 0) std::this_thread::yield();
+  }
+  return checksum;
+}
+
+TEST(RecordReplay, BatchesAtAndPastTheStoreBatchCapReplay) {
+  constexpr int kThreads = 3;
+  BatchCapData data;
+  Runtime rt;
+  DependenceRecorder recorder(rt);
+  using Tracker = HybridTracker<false, DependenceRecorder>;
+  Tracker tracker(rt, HybridConfig{}, &recorder);
+  const auto init = [&data](auto& api, ThreadId tid) {
+    api.init_data(data, tid);
+  };
+  const auto body = [&data](auto& api, ThreadId tid) {
+    return batch_cap_body(api, data, tid);
+  };
+  const WorkloadRunResult recorded = run_threads(
+      kThreads, [&](ThreadId) { return DirectApi<Tracker>(rt, tracker, &recorder); },
+      init, body);
+  const Recording recording = recorder.take_recording(kThreads);
+  ASSERT_GT(recording.total_edges(), 0u);
+
+  Replayer replayer(recording);
+  const WorkloadRunResult replayed = run_threads(
+      kThreads, [&](ThreadId) { return ReplayApi(replayer); }, init, body);
+  EXPECT_EQ(recorded.checksums, replayed.checksums);
+}
+
 // Delays each thread's registration by its distance from the last tid, so
 // a registry that handed out ids in arrival order would reverse them.
 template <typename Tracker>

@@ -23,6 +23,7 @@
 #include "resilience/quarantine.hpp"
 #include "resilience/seizure.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/sync.hpp"
 #include "test_util.hpp"
 #include "tracking/hybrid_tracker.hpp"
 #include "tracking/tracked_var.hpp"
@@ -327,6 +328,70 @@ TEST(Quarantine, VictimParksAtPollBlockingEntryWakeupAndSlowPaths) {
 
   // Non-quarantined threads pass the slow-path check untouched.
   rt.check_self_quarantine(self);
+}
+
+// A victim quarantined while it holds a program lock parks at the release
+// PSRO: no bump, no response, its buffered locks dropped rather than
+// flushed (survivors own those states now), and the mutex freed so another
+// thread can take the lock.
+TEST(Quarantine, VictimHoldingAProgramLockParksAtItsRelease) {
+  Runtime rt;
+  HybridTracker<> tracker(rt);
+  ThreadContext& self = rt.register_thread();
+  ThreadContext& victim = rt.register_thread();
+  tracker.attach_thread(self);
+  tracker.attach_thread(victim);
+  ProgramLock lock;
+  lock.acquire(victim);
+  ObjectMeta m;  // a deferred unlock the release would flush
+  m.reset(StateWord::wr_ex_wlock(victim.id));
+  victim.lock_buffer.push_back(&m);
+
+  ASSERT_TRUE(rt.quarantine_thread(self, victim.id));
+  victim.requester_side.request_tickets.fetch_add(1);  // a late requester
+  const std::uint64_t release = victim.release_counter_relaxed();
+  const std::uint64_t responses = victim.stats.responding_safepoints;
+  EXPECT_THROW(lock.release(victim), ThreadQuarantined);
+  EXPECT_TRUE(victim.quarantined_self);
+  EXPECT_EQ(victim.release_counter_relaxed(), release) << "the victim bumped";
+  EXPECT_EQ(victim.stats.responding_safepoints, responses)
+      << "the victim responded";
+  EXPECT_TRUE(victim.lock_buffer.empty());
+  EXPECT_TRUE(testing::state_is(m, StateKind::kWrExWLock, victim.id))
+      << "the victim flushed a buffered lock";
+
+  lock.acquire(self);  // the mutex is free
+  lock.release(self);
+}
+
+// ProgramLock::Scope frees the mutex however a victim parks: at a poll
+// inside the scope (the destructor runs while unwinding and must not throw
+// again), or at the release PSRO when the scope ends (the destructor
+// throws ThreadQuarantined).
+TEST(Quarantine, ScopedLockIsFreedWhereverTheVictimParks) {
+  Runtime rt;
+  ThreadContext& self = rt.register_thread();
+  ProgramLock lock;
+
+  ThreadContext& at_poll = rt.register_thread();
+  EXPECT_THROW(
+      {
+        ProgramLock::Scope s(lock, at_poll);
+        EXPECT_TRUE(rt.quarantine_thread(self, at_poll.id));
+        rt.poll(at_poll);
+      },
+      ThreadQuarantined);
+
+  ThreadContext& at_release = rt.register_thread();
+  EXPECT_THROW(
+      {
+        ProgramLock::Scope s(lock, at_release);
+        EXPECT_TRUE(rt.quarantine_thread(self, at_release.id));
+      },
+      ThreadQuarantined);
+
+  lock.acquire(self);  // the mutex is free
+  lock.release(self);
 }
 
 // --- ownership seizure ---------------------------------------------------------
